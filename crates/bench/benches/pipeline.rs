@@ -822,136 +822,6 @@ fn bench_server_roundtrip(c: &mut Criterion) {
     server.shutdown().expect("graceful shutdown");
 }
 
-/// The pluggable embedding backends (see `sigmatyper::backend`): the
-/// reference f32 forward pass vs quantized-i8 vs blocked-SIMD vs the
-/// batched whole-frontier path, timed over the same precomputed
-/// neighbor contexts so the MLP evaluation dominates. Before timing,
-/// the acceptance contract is checked once: `BatchedFrontier` must be
-/// bit-identical to `ReferenceF32`, and at least one of `QuantizedI8`
-/// / `BlockedSimd` must beat the reference on wall clock (the
-/// golden-tolerance suite in `tests/embed_backends.rs` owns the
-/// accuracy bar on the e1–e8 corpora).
-fn bench_embed_backends(c: &mut Criterion) {
-    use sigmatyper::EmbeddingBackendKind;
-
-    let f = BenchFixture::new();
-    let model = &f.lab.global.embedding;
-    // Single-value columns keep featurization trivial, so the timed
-    // loop is dominated by the part the backends actually differ on:
-    // the MLP forward pass.
-    let columns: Vec<Column> = (0..64)
-        .map(|i| Column::from_raw(format!("col_{i}"), &[format!("item {}", i % 7)]))
-        .collect();
-    let header_vecs: Vec<Vec<f32>> = columns
-        .iter()
-        .map(|col| model.header_vector(&col.name))
-        .collect();
-    let contexts: Vec<Vec<f32>> = (0..columns.len())
-        .map(|ci| {
-            let refs: Vec<&[f32]> = header_vecs
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != ci)
-                .map(|(_, v)| v.as_slice())
-                .collect();
-            model.context_of(&refs)
-        })
-        .collect();
-    let backends: Vec<(EmbeddingBackendKind, Option<sigmatyper::BackendState>)> =
-        EmbeddingBackendKind::ALL
-            .into_iter()
-            .map(|kind| (kind, kind.backend().prepare(model)))
-            .collect();
-    let sweep = |kind: EmbeddingBackendKind, state: Option<&sigmatyper::BackendState>| {
-        let backend = kind.backend();
-        columns
-            .iter()
-            .zip(&contexts)
-            .map(|(col, ctx)| backend.predict_with_context(model, state, col, ctx))
-            .collect::<Vec<_>>()
-    };
-
-    // Acceptance: the bit-exact backends really are bit-exact.
-    let reference = sweep(EmbeddingBackendKind::ReferenceF32, None);
-    let items: Vec<(&Column, &[f32])> = columns
-        .iter()
-        .zip(&contexts)
-        .map(|(col, ctx)| (col, ctx.as_slice()))
-        .collect();
-    let batched = EmbeddingBackendKind::BatchedFrontier
-        .backend()
-        .predict_batch(model, None, &items);
-    for (a, b) in reference.iter().zip(&batched) {
-        assert_eq!(a.candidates.len(), b.candidates.len());
-        for (ca, cb) in a.candidates.iter().zip(&b.candidates) {
-            assert_eq!(ca.ty, cb.ty, "batched_frontier diverged from reference");
-            assert_eq!(ca.confidence.to_bits(), cb.confidence.to_bits());
-        }
-    }
-    // Sanity on the approximate backends: same decision on these easy
-    // columns for most of the sweep (the real tolerance bar lives in
-    // the golden suite over the e1–e8 corpora).
-    for kind in [
-        EmbeddingBackendKind::QuantizedI8,
-        EmbeddingBackendKind::BlockedSimd,
-    ] {
-        let state = kind.backend().prepare(model);
-        let scores = sweep(kind, state.as_ref());
-        let agree = reference
-            .iter()
-            .zip(&scores)
-            .filter(|(a, b)| {
-                a.candidates.first().map(|c| c.ty) == b.candidates.first().map(|c| c.ty)
-            })
-            .count();
-        println!(
-            "pipeline/embed_backends  {} top-1 agreement: {agree}/{}",
-            kind.label(),
-            reference.len()
-        );
-        assert!(
-            agree * 10 >= reference.len() * 9,
-            "{} agreed on only {agree}/{} columns",
-            kind.label(),
-            reference.len()
-        );
-    }
-
-    // Acceptance: a fast backend must actually be faster. Time each
-    // backend's full sweep (prepared state amortized, like the
-    // executor does per table).
-    let time_of = |kind: EmbeddingBackendKind| {
-        let state = kind.backend().prepare(model);
-        best_of_3(|| {
-            for _ in 0..8 {
-                black_box(sweep(kind, state.as_ref()));
-            }
-        })
-    };
-    let ref_time = time_of(EmbeddingBackendKind::ReferenceF32);
-    let i8_time = time_of(EmbeddingBackendKind::QuantizedI8);
-    let simd_time = time_of(EmbeddingBackendKind::BlockedSimd);
-    let batched_time = time_of(EmbeddingBackendKind::BatchedFrontier);
-    println!(
-        "pipeline/embed_backends  reference_f32 {ref_time:?} | quantized_i8 {i8_time:?} \
-         | blocked_simd {simd_time:?} | batched_frontier {batched_time:?}"
-    );
-    assert!(
-        i8_time.min(simd_time) < ref_time,
-        "neither quantized_i8 ({i8_time:?}) nor blocked_simd ({simd_time:?}) \
-         beat reference_f32 ({ref_time:?})"
-    );
-
-    let mut group = c.benchmark_group("pipeline/embed_backends");
-    group.sample_size(20);
-    for (kind, state) in &backends {
-        group.bench_function(kind.label(), |b| {
-            b.iter(|| black_box(sweep(*kind, state.as_ref())))
-        });
-    }
-    group.finish();
-}
-
 /// The load lab end to end: a small seeded workload replayed through
 /// the in-process serving stack (bounded queue, worker pool, the
 /// server's shaper path), fairness shaping on vs the accounting-only
@@ -1056,7 +926,6 @@ criterion_group!(
     bench_incremental_recrawl,
     bench_budgeted,
     bench_server_roundtrip,
-    bench_embed_backends,
     bench_load_lab
 );
 criterion_main!(benches);

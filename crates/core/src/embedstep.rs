@@ -95,25 +95,12 @@ impl TableEmbeddingModel {
 
     /// The exact feature vector the predict paths score: column
     /// features, the precomputed neighbor context appended, scaled
-    /// in place. Public so [`EmbeddingBackend`] implementations share
-    /// the reference featurization bit for bit and differ only in how
-    /// they run the MLP head.
-    ///
-    /// [`EmbeddingBackend`]: crate::backend::EmbeddingBackend
-    #[must_use]
-    pub fn features_with_context(&self, column: &Column, context: &[f32]) -> Vec<f32> {
+    /// in place.
+    fn features_with_context(&self, column: &Column, context: &[f32]) -> Vec<f32> {
         let mut f = self.extractor.extract(column);
         f.extend_from_slice(context);
         self.scaler.transform_inplace(&mut f);
         f
-    }
-
-    /// The MLP head. Read access for alternative inference backends
-    /// (see [`crate::backend`]): they quantize, block, or batch these
-    /// weights but never mutate them.
-    #[must_use]
-    pub fn mlp(&self) -> &Mlp {
-        &self.mlp
     }
 
     /// Shared tail of the predict paths: calibrated probabilities →
@@ -123,11 +110,8 @@ impl TableEmbeddingModel {
     }
 
     /// Calibrated candidate scores from raw logits: temperature
-    /// scaling, the 0.01 probability floor, and top-8 truncation —
-    /// every backend funnels its logits through this one tail so the
-    /// calibration and thresholding rules cannot drift per backend.
-    #[must_use]
-    pub fn scores_from_logits(&self, logits: &[f32]) -> StepScores {
+    /// scaling, the 0.01 probability floor, and top-8 truncation.
+    fn scores_from_logits(&self, logits: &[f32]) -> StepScores {
         let probs = self.temperature.apply(logits);
         let cands: Vec<Candidate> = probs
             .iter()

@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod backend;
 pub mod cache;
 pub mod cascade;
 pub mod config;
@@ -69,10 +68,6 @@ pub mod step;
 pub mod system;
 pub mod tenant;
 
-pub use backend::{
-    AccuracyClass, BackendState, BatchedFrontier, BlockedSimd, EmbeddingBackend,
-    EmbeddingBackendKind, QuantizedI8, ReferenceF32, UnknownBackendError,
-};
 pub use cache::{
     column_fingerprints, column_fingerprints_chained, CacheContext, CacheKey, CacheStats,
     ColumnFingerprint, ColumnHashState, EpochSource, ShardedLruCache, StableHasher, StepCache,
@@ -101,10 +96,7 @@ pub use request::{
     DegradationPolicy, DegradationReport, RequestOptions, SkipReason, SkippedStep,
     TelemetryVerbosity,
 };
-pub use service::{
-    AdaptiveSizer, AdaptiveSizingConfig, AnnotationService, BoundedQueue, LaneLedger,
-    QueueRejection, TrafficLane,
-};
+pub use service::{AnnotationService, BoundedQueue, LaneLedger, QueueRejection, TrafficLane};
 pub use step::{
     AnnotationStep, ColumnState, EmbeddingStep, HeaderStep, LookupStep, RegexOnlyStep, StepContext,
     TableSetup,

@@ -53,7 +53,6 @@
 //! to exercise these paths; it is an operational chaos knob, not a
 //! tuning surface — production callers should set budgets per request.
 
-use crate::backend::EmbeddingBackendKind;
 use crate::cost::CostModel;
 use crate::executor::ParallelismPolicy;
 use crate::prediction::{StepId, TableAnnotation};
@@ -126,19 +125,10 @@ pub struct RequestOptions {
     pub column_threads: Option<usize>,
     /// Skip the step cache entirely for this request: no consults, no
     /// inserts. For forced recomputation (an operator suspecting a
-    /// poisoned backend) — output is bit-identical either way.
+    /// poisoned cache) — output is bit-identical either way.
     pub bypass_cache: bool,
     /// How much telemetry the returned annotation retains.
     pub telemetry: TelemetryVerbosity,
-    /// Override the embedding-inference backend for this request only
-    /// (`None` = use
-    /// [`SigmaTyperConfig::embedding_backend`](crate::config::SigmaTyperConfig::embedding_backend)).
-    /// Unlike the execution overrides above, a backend override *does*
-    /// move the cache fingerprint when it selects a non-default
-    /// backend: approximate backends score differently, so their
-    /// cached step results must never cross-serve (see
-    /// [`crate::backend`]).
-    pub embedding_backend: Option<EmbeddingBackendKind>,
     /// Override the delta-reuse sensitivity threshold for this request
     /// only (`None` = use
     /// [`SigmaTyperConfig::delta_sensitivity`](crate::config::SigmaTyperConfig::delta_sensitivity)).
@@ -196,16 +186,6 @@ impl RequestOptions {
     #[must_use]
     pub fn with_telemetry(mut self, verbosity: TelemetryVerbosity) -> Self {
         self.telemetry = verbosity;
-        self
-    }
-
-    /// Builder-style: override the embedding-inference backend for
-    /// this request only (see
-    /// [`crate::backend::EmbeddingBackendKind`] for the built-in
-    /// choices and their accuracy classes).
-    #[must_use]
-    pub fn with_embedding_backend(mut self, backend: EmbeddingBackendKind) -> Self {
-        self.embedding_backend = Some(backend);
         self
     }
 

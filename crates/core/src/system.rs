@@ -1,7 +1,6 @@
 //! The SigmaTyper orchestrator: cascade, aggregation, and adaptation.
 
 use crate::aggregate::{apply_tau, soft_majority_vote_with};
-use crate::backend::EmbeddingBackendKind;
 use crate::cache::{
     column_fingerprints, column_fingerprints_chained, CacheContext, ColumnFingerprint,
     ColumnHashState, EpochSource, ShardedLruCache, StepCache,
@@ -241,35 +240,6 @@ impl SigmaTyperBuilder {
     #[must_use]
     pub fn column_threads(mut self, threads: usize) -> Self {
         self.config.column_threads = threads;
-        self
-    }
-
-    /// Select the embedding-inference backend for this instance (see
-    /// [`crate::backend`] for the built-in choices). The default,
-    /// [`EmbeddingBackendKind::ReferenceF32`], is bit-identical to the
-    /// original hardwired f32 path; `QuantizedI8` and `BlockedSimd`
-    /// trade bit-identity for raw speed (held within a golden
-    /// tolerance on the eval corpora), and `BatchedFrontier` amortizes
-    /// one matmul per frontier chunk while staying bit-exact. A
-    /// request may override the choice per call via
-    /// [`RequestOptions::with_embedding_backend`]. Non-default
-    /// backends fingerprint their own cache keys, so switching never
-    /// serves one backend's cached scores to another.
-    ///
-    /// ```
-    /// use sigmatyper::{EmbeddingBackendKind, SigmaTyper, TrainingConfig};
-    /// # use tu_corpus::{generate_corpus, CorpusConfig};
-    /// # use tu_ontology::builtin_ontology;
-    /// # let ontology = builtin_ontology();
-    /// # let corpus = generate_corpus(&ontology, &CorpusConfig::database_like(3, 6));
-    /// # let global = sigmatyper::train_global(ontology, &corpus, &TrainingConfig::fast());
-    /// let typer = SigmaTyper::builder(std::sync::Arc::new(global))
-    ///     .embedding_backend(EmbeddingBackendKind::QuantizedI8)
-    ///     .build();
-    /// ```
-    #[must_use]
-    pub fn embedding_backend(mut self, backend: EmbeddingBackendKind) -> Self {
-        self.config.embedding_backend = backend;
         self
     }
 
@@ -544,79 +514,46 @@ impl SigmaTyper {
     /// skipped or truncated and the budget accounting.
     #[must_use]
     pub fn annotate_request(&self, request: &AnnotationRequest<'_>) -> AnnotationOutcome {
-        let mut config = self.config;
-        if let Some(policy) = request.options.parallelism {
-            config.parallelism = policy;
-        }
-        if let Some(threads) = request.options.column_threads {
-            config.column_threads = threads;
-        }
-        self.annotate_request_with(request, &CascadeExecutor::from_config(&config))
-    }
-
-    /// [`SigmaTyper::annotate_request`] through an explicitly
-    /// constructed [`CascadeExecutor`] (the executor wins over the
-    /// request's parallelism overrides — callers managing their own
-    /// worker budgets, like the batch scheduler, already resolved
-    /// them).
-    #[must_use]
-    pub fn annotate_request_with(
-        &self,
-        request: &AnnotationRequest<'_>,
-        executor: &CascadeExecutor,
-    ) -> AnnotationOutcome {
         let (budget, _) = request.options.resolved();
-        let ledger = BudgetLedger::from_budget(budget);
         self.annotate_request_shared_with_base(
             request.table,
             request.base,
-            executor,
+            &self.executor_for(&request.options),
             &request.options,
-            &ledger,
+            &BudgetLedger::from_budget(budget),
         )
     }
 
-    /// [`SigmaTyper::annotate`] through an explicitly constructed
-    /// [`CascadeExecutor`] — for callers that manage their own worker
-    /// budgets, like the two-level scheduler in
-    /// [`AnnotationService`](crate::service::AnnotationService), which
-    /// hands each table worker its share of the batch-wide budget.
-    /// Any executor produces bit-identical annotations; only the wall
-    /// clock differs.
-    ///
-    /// A thin wrapper over [`SigmaTyper::annotate_request_with`] with
-    /// default options — every public entry point funnels into the one
-    /// request core, [`SigmaTyper::annotate_request_shared`].
+    /// The executor a request runs on: the configured
+    /// [`SigmaTyperConfig::parallelism`] and
+    /// [`SigmaTyperConfig::column_threads`], with the request's
+    /// `parallelism` and `column_threads` overrides applied. Every
+    /// single-table serving path resolves its executor here, so an
+    /// HTTP annotate is the same computation as the direct call.
     #[must_use]
-    pub fn annotate_with(&self, table: &Table, executor: &CascadeExecutor) -> TableAnnotation {
-        self.annotate_request_with(&AnnotationRequest::new(table), executor)
-            .into_annotation()
+    pub fn executor_for(&self, options: &RequestOptions) -> CascadeExecutor {
+        let mut config = self.config;
+        if let Some(policy) = options.parallelism {
+            config.parallelism = policy;
+        }
+        if let Some(threads) = options.column_threads {
+            config.column_threads = threads;
+        }
+        CascadeExecutor::from_config(&config)
     }
 
     /// The request core, against an **externally owned**
-    /// [`BudgetLedger`] — this is how
-    /// [`AnnotationService::annotate_batch_request`] shares one
-    /// batch-wide ledger across its worker threads (degrade the
-    /// batch, don't queue it). The ledger must be consistent with
-    /// `options` ([`RequestOptions::resolved`] decides budget and
-    /// policy); single-request callers should prefer
+    /// [`BudgetLedger`] and executor — this is how
+    /// [`AnnotationService::annotate_batch_request_on_ledger`] shares
+    /// one batch-wide ledger across its worker threads (degrade the
+    /// batch, don't queue it) and how [`TrafficShaper::serve`] runs a
+    /// request on its lane or tenant grant. The ledger must be
+    /// consistent with `options` ([`RequestOptions::resolved`] decides
+    /// budget and policy); single-request callers should prefer
     /// [`SigmaTyper::annotate_request`], which owns its ledger.
     ///
-    /// [`AnnotationService::annotate_batch_request`]:
-    ///     crate::service::AnnotationService::annotate_batch_request
-    #[must_use]
-    pub fn annotate_request_shared(
-        &self,
-        table: &Table,
-        executor: &CascadeExecutor,
-        options: &RequestOptions,
-        ledger: &BudgetLedger,
-    ) -> AnnotationOutcome {
-        self.annotate_request_shared_with_base(table, None, executor, options, ledger)
-    }
-
-    /// [`SigmaTyper::annotate_request_shared`] with an optional base
-    /// crawl, enabling the delta-aware recrawl path (see
+    /// `base` is an optional previous crawl, enabling the delta-aware
+    /// recrawl path (see
     /// [`AnnotationRequest::with_base`]): per-column deltas are diffed
     /// against `base`, the new crawl's fingerprints are derived
     /// through fingerprint delta chains (O(changed cells) instead of
@@ -624,6 +561,10 @@ impl SigmaTyper {
     /// moved less than their sensitivity threshold reuse the base
     /// crawl's cached scores. Falls back to the plain path when the
     /// table's shape changed, the cache is off, or `base` is `None`.
+    ///
+    /// [`AnnotationService::annotate_batch_request_on_ledger`]:
+    ///     crate::service::AnnotationService::annotate_batch_request_on_ledger
+    /// [`TrafficShaper::serve`]: crate::tenant::TrafficShaper::serve
     #[must_use]
     pub fn annotate_request_shared_with_base(
         &self,
@@ -634,14 +575,7 @@ impl SigmaTyper {
         ledger: &BudgetLedger,
     ) -> AnnotationOutcome {
         let (_, policy) = options.resolved();
-        // Apply the per-request backend override *here*, on the config
-        // handed to the executor: the cache fingerprint is derived from
-        // this same config inside `run_budgeted`, so a non-default
-        // backend automatically separates its cache keys.
-        let mut config = self.config;
-        if let Some(backend) = options.embedding_backend {
-            config.embedding_backend = backend;
-        }
+        let config = &self.config;
         let cache_ctx = if options.bypass_cache {
             None
         } else {
@@ -670,7 +604,7 @@ impl SigmaTyper {
         let delta_data: Option<DeltaData> = match (base, cache_ctx) {
             (Some(base), Some(cc)) => TableDelta::between(base, table).map(|table_delta| {
                 let step_ids = self.cascade.step_ids();
-                let base_fps = column_fingerprints(base, &step_ids, &config, cc.epoch);
+                let base_fps = column_fingerprints(base, &step_ids, config, cc.epoch);
                 let states: Vec<ColumnHashState> = base
                     .columns()
                     .iter()
@@ -683,7 +617,7 @@ impl SigmaTyper {
                     })
                     .collect();
                 let new_fps =
-                    column_fingerprints_chained(table, &step_ids, &config, cc.epoch, &states);
+                    column_fingerprints_chained(table, &step_ids, config, cc.epoch, &states);
                 let sensitivity = options
                     .delta_sensitivity
                     .unwrap_or(config.delta_sensitivity)
@@ -708,7 +642,7 @@ impl SigmaTyper {
             table,
             &self.global,
             &self.local,
-            &config,
+            config,
             cache_ctx,
             Some(BudgetContext {
                 ledger,
@@ -719,14 +653,14 @@ impl SigmaTyper {
         );
         let (per_column, timings) = budgeted.trace;
 
-        let weight_of = |id: StepId| self.cascade.weight(id, &config);
+        let weight_of = |id: StepId| self.cascade.weight(id, config);
         let columns = per_column
             .into_iter()
             .enumerate()
             .map(|(ci, steps)| {
                 let executed: Vec<(StepId, &StepScores)> =
                     steps.iter().map(|(s, sc)| (*s, sc)).collect();
-                let mut top_k = soft_majority_vote_with(&executed, &config, &weight_of);
+                let mut top_k = soft_majority_vote_with(&executed, config, &weight_of);
                 self.prefer_specific(&mut top_k);
                 let (predicted, confidence) = apply_tau(&top_k, config.tau);
                 let (steps_run, step_scores): (Vec<StepId>, Vec<StepScores>) =

@@ -32,7 +32,7 @@
 //! tighter caps only make degradation (which removes votes, never
 //! fabricates) engage earlier for the tenants that earned it.
 
-use crate::request::BudgetLedger;
+use crate::request::{AnnotationOutcome, BudgetLedger, RequestOptions};
 use crate::service::{BoundedQueue, LaneLedger, QueueRejection, TrafficLane};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,9 +55,9 @@ pub const BURST_WINDOWS: f64 = 2.0;
 
 /// A registry-scoped tenant handle: a dense index into the
 /// [`TenantRegistry`] that interned it. `Copy` so it rides inside
-/// [`RequestOptions`](crate::request::RequestOptions) without
-/// disturbing that struct's `Copy` contract. Ids are only meaningful
-/// against the registry that produced them.
+/// [`RequestOptions`] without disturbing that struct's `Copy`
+/// contract. Ids are only meaningful against the registry that
+/// produced them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TenantId(u32);
 
@@ -688,6 +688,46 @@ impl TrafficShaper {
         }
     }
 
+    /// Serve one admitted request — a single table or a whole batch —
+    /// from `tenant` on `lane`: grant its budget
+    /// ([`request_budget`](TrafficShaper::request_budget)), run `run`
+    /// on the granted ledger (the lane's shared window ledger, or a
+    /// private [`BudgetLedger::bounded`] one for explicit budgets and
+    /// tenant caps), then [`settle`](TrafficShaper::settle) the
+    /// outcomes' spend, degradations and delta reuse back into the
+    /// lane, the tenant and the serving counters. `run` receives
+    /// `options` attributed to `tenant`, so every outcome's
+    /// [`DegradationReport`](crate::request::DegradationReport) echoes
+    /// it. This is the one serving path of the HTTP server and the
+    /// load lab.
+    pub fn serve(
+        &self,
+        lane: TrafficLane,
+        tenant: TenantId,
+        options: &RequestOptions,
+        run: impl FnOnce(&RequestOptions, &BudgetLedger) -> Vec<AnnotationOutcome>,
+    ) -> Vec<AnnotationOutcome> {
+        let options = RequestOptions {
+            tenant: Some(tenant),
+            ..*options
+        };
+        let grant = self.request_budget(lane, tenant, options.resolved().0);
+        let outcomes = match &grant {
+            ShapedBudget::Shared(ledger) => run(&options, ledger),
+            ShapedBudget::Local { cap_nanos, .. } => {
+                run(&options, &BudgetLedger::bounded(*cap_nanos))
+            }
+        };
+        let (mut spent, mut degraded, mut delta_reused) = (0u64, 0u64, 0u64);
+        for o in &outcomes {
+            spent = spent.saturating_add(o.degradation.spent_nanos);
+            degraded += u64::from(o.degraded());
+            delta_reused = delta_reused.saturating_add(o.degradation.delta_reused as u64);
+        }
+        self.settle(lane, tenant, &grant, spent, degraded, delta_reused);
+        outcomes
+    }
+
     /// Account one served request: charge `spent_nanos` back to the
     /// lane window (only for [`ShapedBudget::Local`] runs — shared
     /// runs charged the window ledger directly), charge the tenant's
@@ -935,8 +975,35 @@ mod tests {
         assert_eq!(snap[light.index()].lanes[1].shed, 1);
     }
 
+    /// What [`TrafficShaper::serve`] grants a request with `budget`:
+    /// the granted ledger's budget, and whether it is the lane's shared
+    /// window ledger (a 1 ns charge inside `run` lands on the lane).
+    fn granted(
+        shaper: &TrafficShaper,
+        lane: TrafficLane,
+        t: TenantId,
+        budget: Option<u64>,
+    ) -> (Option<u64>, bool) {
+        let before = shaper.lane_ledger(lane).remaining_nanos();
+        let options = RequestOptions {
+            budget_nanos: budget,
+            ..RequestOptions::default()
+        };
+        let mut granted = None;
+        let _ = shaper.serve(lane, t, &options, |_, ledger| {
+            granted = ledger.budget();
+            ledger.charge(1);
+            Vec::new()
+        });
+        let shared = shaper.lane_ledger(lane).remaining_nanos() != before;
+        (granted, shared)
+    }
+
     #[test]
     fn request_budget_composes_lane_tenant_and_request_bounds() {
+        if crate::request::forced_step_budget_nanos().is_some() {
+            return;
+        }
         let registry = Arc::new(TenantRegistry::new());
         let shaper = TrafficShaper::new(
             Arc::clone(&registry),
@@ -945,41 +1012,73 @@ mod tests {
             Duration::from_secs(600),
         );
         let t = registry.intern("t");
+        let lane = TrafficLane::Interactive;
         // Unbudgeted request, in-quota tenant with burst ≥ window:
         // shares the lane ledger (the unshapen path).
-        match shaper.request_budget(TrafficLane::Interactive, t, None) {
-            ShapedBudget::Shared(ledger) => {
-                assert_eq!(ledger.remaining(), Some(10_000));
-            }
-            other => panic!("expected shared lane ledger, got {other:?}"),
-        }
+        assert_eq!(granted(&shaper, lane, t, None), (Some(10_000), true));
         // Explicit request budget: local, capped at min(budget, lane).
-        match shaper.request_budget(TrafficLane::Interactive, t, Some(3_000)) {
-            ShapedBudget::Local { cap_nanos, .. } => assert_eq!(cap_nanos, 3_000),
-            other => panic!("expected local ledger, got {other:?}"),
-        }
+        assert_eq!(granted(&shaper, lane, t, Some(3_000)), (Some(3_000), false));
         // Unbudgeted lane: explicit budget passes through verbatim.
-        match shaper.request_budget(TrafficLane::Crawl, t, Some(42)) {
-            ShapedBudget::Local { cap_nanos, .. } => assert_eq!(cap_nanos, 42),
-            other => panic!("expected local ledger, got {other:?}"),
-        }
+        assert_eq!(
+            granted(&shaper, TrafficLane::Crawl, t, Some(42)),
+            (Some(42), false)
+        );
         // Drained sole tenant: work conserving — with nobody else's
         // deficit to reserve, the over-quota share is the full lane
         // remainder, so the request budget still binds.
-        registry.charge(t, TrafficLane::Interactive, u64::MAX / 2);
-        match shaper.request_budget(TrafficLane::Interactive, t, Some(3_000)) {
-            ShapedBudget::Local { cap_nanos, .. } => assert_eq!(cap_nanos, 3_000),
-            other => panic!("expected local ledger, got {other:?}"),
-        }
+        registry.charge(t, lane, u64::MAX / 2);
+        assert_eq!(granted(&shaper, lane, t, Some(3_000)), (Some(3_000), false));
         // A second in-quota tenant changes that: its burst deficit
         // (2 quanta = the whole window) is reserved, so the drained
         // tenant's cap collapses to 0 — fully degraded, not starved of
         // admission.
         let _ = registry.register("other", 1.0);
-        match shaper.request_budget(TrafficLane::Interactive, t, Some(3_000)) {
-            ShapedBudget::Local { cap_nanos, .. } => assert_eq!(cap_nanos, 0),
-            other => panic!("expected local ledger, got {other:?}"),
-        }
+        assert_eq!(granted(&shaper, lane, t, Some(3_000)), (Some(0), false));
+    }
+
+    #[test]
+    fn serve_settles_every_outcome_of_a_batch() {
+        let registry = Arc::new(TenantRegistry::new());
+        let shaper = TrafficShaper::new(
+            Arc::clone(&registry),
+            Some(10_000),
+            None,
+            Duration::from_secs(600),
+        );
+        let t = registry.intern("t");
+        let outcome = |spent_nanos: u64, delta_reused: usize| AnnotationOutcome {
+            annotation: crate::prediction::TableAnnotation {
+                columns: Vec::new(),
+                timings: Vec::new(),
+            },
+            degradation: crate::request::DegradationReport {
+                policy: crate::request::DegradationPolicy::Strict,
+                budget_nanos: None,
+                spent_nanos,
+                remaining_nanos: None,
+                skipped: Vec::new(),
+                delta_reused,
+                tenant: None,
+            },
+        };
+        let options = RequestOptions::default().with_budget_nanos(4_000);
+        let outcomes = shaper.serve(TrafficLane::Interactive, t, &options, |opts, _| {
+            assert_eq!(opts.tenant, Some(t), "run sees the attributed tenant");
+            vec![outcome(1_000, 1), outcome(1_500, 2)]
+        });
+        assert_eq!(outcomes.len(), 2);
+        // The local grant's spend is charged back to the lane window.
+        assert_eq!(
+            shaper
+                .lane_ledger(TrafficLane::Interactive)
+                .remaining_nanos(),
+            Some(7_500)
+        );
+        assert_eq!(registry.snapshot()[t.index()].lanes[0].spent_nanos, 2_500);
+        let counters = shaper.counters(TrafficLane::Interactive);
+        assert_eq!(counters.served(), 1);
+        assert_eq!(counters.degraded(), 0);
+        assert_eq!(counters.delta_reused(), 3);
     }
 
     #[test]
@@ -992,7 +1091,10 @@ mod tests {
             Duration::from_secs(600),
         );
         let t = registry.intern("t");
-        let grant = shaper.request_budget(TrafficLane::Interactive, t, Some(4_000));
+        let grant = ShapedBudget::Local {
+            cap_nanos: 4_000,
+            lane: shaper.lane_ledger(TrafficLane::Interactive).ledger(),
+        };
         shaper.settle(TrafficLane::Interactive, t, &grant, 2_500, 1, 3);
         assert_eq!(
             shaper

@@ -1,19 +1,20 @@
 //! In-process replay driver.
 //!
-//! Mirrors the HTTP server's serving shape without the wire: a bounded
-//! admission queue, a worker pool driving the sync core, and the same
-//! [`TrafficShaper`] admission/budget/settle path `tu_server` uses —
-//! so fairness behavior measured here is the behavior the server
-//! ships. Clients are closed-loop: each submits its slice of the
-//! workload in order and blocks for the reply before sending the next
-//! operation.
+//! Reproduces the HTTP server's serving shape without the wire: a
+//! bounded admission queue, a worker pool driving the sync core, and
+//! calls to the same [`TrafficShaper::admit`] and
+//! [`TrafficShaper::serve`] that `tu_server` calls — so fairness
+//! behavior measured here is the behavior the server ships. Clients
+//! are closed-loop: each submits its slice of the workload in order
+//! and blocks for the reply before sending the next operation. Every
+//! latency, served or shed, is timed from the client's submission, so
+//! a served operation's latency includes its wait in the queue.
 
 use crate::report::{LoadReport, OpResult};
 use crate::workload::{LabOp, Workload};
-use sigmatyper::executor::CascadeExecutor;
-use sigmatyper::request::{BudgetLedger, DegradationPolicy, RequestOptions};
+use sigmatyper::request::{DegradationPolicy, RequestOptions};
 use sigmatyper::service::BoundedQueue;
-use sigmatyper::tenant::{ShapedBudget, TenantId, TenantRegistry, TrafficShaper};
+use sigmatyper::tenant::{TenantId, TenantRegistry, TrafficShaper};
 use sigmatyper::{GlobalModel, ShardedLruCache, SigmaTyper, StableHasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -76,15 +77,17 @@ fn outcome_digest(annotation: &sigmatyper::TableAnnotation) -> [u64; 2] {
 
 struct LabJob {
     op: usize,
+    /// When the client submitted the operation: served latency is
+    /// measured from here, queue wait included.
+    submitted: Instant,
     reply: mpsc::Sender<OpResult>,
 }
 
-/// One worker: the in-process mirror of the server's `serve_single` —
-/// resolve the shaped budget, annotate, settle spend back to the lane
-/// and tenant.
+/// One worker's operation, served the way the server's `serve_single`
+/// serves a table: through [`TrafficShaper::serve`] on an executor from
+/// [`SigmaTyper::executor_for`].
 fn serve_op(
     typer: &SigmaTyper,
-    executor: &CascadeExecutor,
     shaper: &TrafficShaper,
     op: &LabOp,
     tenant: TenantId,
@@ -99,38 +102,22 @@ fn serve_op(
     let options = RequestOptions {
         policy: DegradationPolicy::BestEffort,
         delta_sensitivity: Some(0.0),
-        tenant: Some(tenant),
         ..RequestOptions::default()
     };
-    let grant = shaper.request_budget(op.lane, tenant, None);
-    let outcome = match &grant {
-        ShapedBudget::Shared(ledger) => typer.annotate_request_shared_with_base(
-            &op.table,
-            op.base.as_ref(),
-            executor,
-            &options,
-            ledger,
-        ),
-        ShapedBudget::Local { cap_nanos, .. } => {
-            let local = BudgetLedger::bounded(*cap_nanos);
-            typer.annotate_request_shared_with_base(
+    let outcome = shaper
+        .serve(op.lane, tenant, &options, |options, ledger| {
+            let executor = typer.executor_for(options);
+            vec![typer.annotate_request_shared_with_base(
                 &op.table,
                 op.base.as_ref(),
-                executor,
-                &options,
-                &local,
-            )
-        }
-    };
+                &executor,
+                options,
+                ledger,
+            )]
+        })
+        .pop()
+        .expect("one outcome per table");
     let degraded = outcome.degraded();
-    shaper.settle(
-        op.lane,
-        tenant,
-        &grant,
-        outcome.degradation.spent_nanos,
-        u64::from(degraded),
-        outcome.degradation.delta_reused as u64,
-    );
     OpResult {
         op: op.id,
         tenant: op.tenant,
@@ -176,7 +163,6 @@ pub fn run_in_process(
         target.budget_window,
     );
     let queue: BoundedQueue<LabJob> = BoundedQueue::new(target.queue_capacity);
-    let executor = CascadeExecutor::from_config(typer.config());
     let results: Mutex<Vec<OpResult>> = Mutex::new(Vec::with_capacity(workload.ops.len()));
     let started = Instant::now();
     let clients = target.clients.max(1);
@@ -190,21 +176,14 @@ pub fn run_in_process(
             .map(|_| {
                 let queue = &queue;
                 let typer = &typer;
-                let executor = &executor;
                 let shaper = &shaper;
                 let workload = &workload;
                 let tenant_ids = &tenant_ids;
                 scope.spawn(move || {
                     while let Some(job) = queue.pop() {
                         let op = &workload.ops[job.op];
-                        let result = serve_op(
-                            typer,
-                            executor,
-                            shaper,
-                            op,
-                            tenant_ids[op.tenant],
-                            Instant::now(),
-                        );
+                        let result =
+                            serve_op(typer, shaper, op, tenant_ids[op.tenant], job.submitted);
                         let _ = job.reply.send(result);
                     }
                 })
@@ -226,7 +205,11 @@ pub fn run_in_process(
                     };
                     let submitted = Instant::now();
                     let (tx, rx) = mpsc::channel();
-                    let job = LabJob { op: idx, reply: tx };
+                    let job = LabJob {
+                        op: idx,
+                        submitted,
+                        reply: tx,
+                    };
                     let result = match shaper.admit(queue, op.lane, tenant_ids[op.tenant], job) {
                         Ok(()) => rx.recv().unwrap_or_else(|_| OpResult {
                             op: op.id,
@@ -277,5 +260,49 @@ pub fn run_in_process(
         results,
         wall_nanos: started.elapsed().as_nanos() as u64,
         cache: typer.step_cache().map(|c| c.stats()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::{generate_workload, WorkloadConfig};
+    use sigmatyper::{train_global, TrainingConfig};
+    use tu_corpus::{generate_corpus, CorpusConfig};
+    use tu_ontology::builtin_ontology;
+
+    /// One worker serves one operation at a time, so its service
+    /// intervals are disjoint and sum to at most the wall time. With
+    /// four closed-loop clients the queue is never empty, so latencies
+    /// that include queue wait must sum to more than the wall time.
+    #[test]
+    fn served_latency_includes_queue_wait() {
+        let ontology = builtin_ontology();
+        let corpus = generate_corpus(&ontology, &CorpusConfig::database_like(53, 16));
+        let global = Arc::new(train_global(
+            builtin_ontology(),
+            &corpus,
+            &TrainingConfig::fast(),
+        ));
+        let workload = generate_workload(&ontology, &WorkloadConfig::smoke(13));
+        let target = TargetConfig {
+            workers: 1,
+            clients: 4,
+            ..TargetConfig::default()
+        };
+        let report = run_in_process(global, &workload, &target);
+        report.validate().expect("report accounts every op");
+        let served: Vec<&OpResult> = report.results.iter().filter(|r| r.served).collect();
+        assert_eq!(
+            served.len(),
+            workload.ops.len(),
+            "unbudgeted lanes shed nothing"
+        );
+        let total: u64 = served.iter().map(|r| r.latency_nanos).sum();
+        assert!(
+            total > report.wall_nanos,
+            "served latencies sum to {total} ns, not above the {} ns wall: queue wait is missing",
+            report.wall_nanos
+        );
     }
 }

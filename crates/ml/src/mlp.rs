@@ -113,27 +113,6 @@ impl Mlp {
         self.n_classes
     }
 
-    /// Number of dense layers (1 for logistic regression, 2 with a
-    /// hidden layer).
-    #[must_use]
-    pub fn n_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Read access to layer `i`'s parameters: the `out × in` row-major
-    /// weight matrix and the `out`-length bias vector. This is the seam
-    /// alternative inference backends (quantized, blocked-SIMD, batched)
-    /// build their own weight representations from; training state stays
-    /// private.
-    ///
-    /// # Panics
-    /// Panics when `i >= n_layers()`.
-    #[must_use]
-    pub fn layer_params(&self, i: usize) -> (&Matrix, &[f32]) {
-        let layer = &self.layers[i];
-        (&layer.w, &layer.b)
-    }
-
     /// Feature dimensionality.
     #[must_use]
     pub fn dim(&self) -> usize {

@@ -35,8 +35,9 @@
 //!   Shaping never changes annotation results — only scheduling,
 //!   shedding, and which requests degrade.
 //! * **Workers**: a fixed pool popping jobs and driving the sync core —
-//!   singles via [`SigmaTyper::annotate_request_shared`], batches via
-//!   the [`AnnotationService`] two-level scheduler.
+//!   each job through [`TrafficShaper::serve`] (grant, run, settle):
+//!   singles via [`SigmaTyper::annotate_request_shared_with_base`],
+//!   batches via the [`AnnotationService`] two-level scheduler.
 //! * **Feedback**: `POST /feedback` takes the customer write lock,
 //!   runs the paper's adaptation loop, and bumps the epoch — connected
 //!   clients observe the invalidation on their next request.
@@ -67,11 +68,10 @@ pub mod wire;
 use httpshim::{HttpServer, Request, Response};
 use jsonshim::Json;
 use sigmatyper::cache::CacheStats;
-use sigmatyper::executor::CascadeExecutor;
-use sigmatyper::request::{BudgetLedger, RequestOptions};
+use sigmatyper::request::RequestOptions;
 use sigmatyper::service::{AnnotationService, BoundedQueue, QueueRejection, TrafficLane};
 use sigmatyper::tenant::{
-    ShapedBudget, TenantId, TenantRegistry, TenantSnapshot, TrafficShaper, ANONYMOUS_TENANT,
+    TenantId, TenantRegistry, TenantSnapshot, TrafficShaper, ANONYMOUS_TENANT,
 };
 use sigmatyper::SigmaTyper;
 use std::io;
@@ -338,15 +338,14 @@ fn worker_loop(state: &ServerState) {
     }
 }
 
-/// Resolve the ledger a single request charges through the shaper.
-/// An unbudgeted request from an in-quota tenant charges the lane's
-/// shared window ledger directly — the bit-exact unshapen path, so
-/// concurrent traffic on the lane collectively drains one budget and
-/// lane spend metrics accumulate. A request with its own budget, or
-/// from an over-quota tenant, runs on a local ledger capped by the
-/// tighter of request budget, tenant cap, and lane remainder;
-/// [`TrafficShaper::settle`] charges its spend back to the lane and
-/// the tenant account either way.
+/// Serve one table through [`TrafficShaper::serve`]. An unbudgeted
+/// request from an in-quota tenant charges the lane's shared window
+/// ledger directly, so concurrent traffic on the lane collectively
+/// drains one budget; a request with its own budget, or from an
+/// over-quota tenant, runs on a local ledger capped by the tighter of
+/// request budget, tenant cap, and lane remainder. The executor comes
+/// from [`SigmaTyper::executor_for`], so an HTTP annotate is the same
+/// computation as the direct call.
 fn serve_single(
     state: &ServerState,
     table: &tu_table::Table,
@@ -359,45 +358,20 @@ fn serve_single(
         .typer
         .read()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    // Mirror `SigmaTyper::annotate_request`: per-request parallelism
-    // overrides resolve into the executor, so an HTTP annotate is the
-    // same computation as the direct call.
-    let mut config = *typer.config();
-    if let Some(policy) = options.parallelism {
-        config.parallelism = policy;
-    }
-    if let Some(threads) = options.column_threads {
-        config.column_threads = threads;
-    }
-    let executor = CascadeExecutor::from_config(&config);
-    let mut options = *options;
-    options.tenant = Some(tenant);
-    let (request_budget, _) = options.resolved();
-    let grant = state.shaper.request_budget(lane, tenant, request_budget);
-    let outcome = match &grant {
-        ShapedBudget::Shared(ledger) => {
-            typer.annotate_request_shared_with_base(table, base, &executor, &options, ledger)
-        }
-        ShapedBudget::Local { cap_nanos, .. } => {
-            let local = BudgetLedger::bounded(*cap_nanos);
-            typer.annotate_request_shared_with_base(table, base, &executor, &options, &local)
-        }
-    };
-    state.shaper.settle(
-        lane,
-        tenant,
-        &grant,
-        outcome.degradation.spent_nanos,
-        u64::from(outcome.degraded()),
-        outcome.degradation.delta_reused as u64,
-    );
+    let outcome = state
+        .shaper
+        .serve(lane, tenant, options, |options, ledger| {
+            let executor = typer.executor_for(options);
+            vec![typer.annotate_request_shared_with_base(table, base, &executor, options, ledger)]
+        })
+        .pop()
+        .expect("one outcome per table");
     wire::outcome_to_json(&outcome, typer.ontology()).to_string()
 }
 
-/// Batches ride the existing two-level scheduler through
-/// [`AnnotationService::annotate_batch_request_shaped`], which owns
-/// one batch-wide ledger bounded by the shaper's grant (lane window
-/// remainder ∧ tenant cap ∧ request budget) and settles the batch's
+/// Batches ride the [`AnnotationService`] two-level scheduler on one
+/// batch-wide ledger granted by [`TrafficShaper::serve`] (lane window
+/// remainder ∧ tenant cap ∧ request budget), which settles the batch's
 /// spend back to the lane and tenant when it completes.
 fn serve_batch(
     state: &ServerState,
@@ -410,12 +384,13 @@ fn serve_batch(
         .typer
         .read()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let mut options = *options;
-    options.tenant = Some(tenant);
     let service = AnnotationService::for_customer(typer.clone()).with_threads(state.workers);
     let bases: Vec<Option<&tu_table::Table>> = vec![None; tables.len()];
-    let outcomes =
-        service.annotate_batch_request_shaped(tables, &bases, &options, &state.shaper, lane);
+    let outcomes = state
+        .shaper
+        .serve(lane, tenant, options, |options, ledger| {
+            service.annotate_batch_request_on_ledger(tables, &bases, options, ledger)
+        });
     let body = Json::object(vec![(
         "outcomes",
         Json::Arr(

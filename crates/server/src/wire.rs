@@ -9,9 +9,7 @@
 //! * **Options in** (all fields optional): `{"budget_nanos": u64,
 //!   "policy": "strict"|"drop_tail"|"best_effort", "bypass_cache":
 //!   bool, "telemetry": "full"|"timings_only"|"minimal",
-//!   "embedding_backend": "reference_f32"|"quantized_i8"|
-//!   "blocked_simd"|"batched_frontier",
-//!   "delta_sensitivity": f64 ≥ 0}`.
+//!   "delta_sensitivity": f64 ≥ 0}`. Unknown keys are ignored.
 //! * **Base table in**: `POST /annotate` additionally accepts a
 //!   `"base"` table (same shape as `"table"`) — the previously crawled
 //!   version, turning the request into an incremental recrawl with
@@ -27,7 +25,6 @@
 //! suite asserts.
 
 use jsonshim::Json;
-use sigmatyper::backend::EmbeddingBackendKind;
 use sigmatyper::request::{
     AnnotationOutcome, DegradationPolicy, DegradationReport, RequestOptions, SkipReason,
     TelemetryVerbosity,
@@ -125,16 +122,6 @@ pub fn options_from_json(v: Option<&Json>) -> Result<RequestOptions, String> {
                 ))
             }
         });
-    }
-    if let Some(backend) = v.get("embedding_backend") {
-        let label = backend
-            .as_str()
-            .ok_or("\"embedding_backend\" must be a string")?;
-        // `parse` is the typed-error path: an unknown name becomes an
-        // `UnknownBackendError` listing the valid names, which we
-        // surface verbatim as the 400 body — never a panic.
-        let kind = EmbeddingBackendKind::parse(label).map_err(|e| e.to_string())?;
-        options = options.with_embedding_backend(kind);
     }
     if let Some(sensitivity) = v.get("delta_sensitivity") {
         if !sensitivity.is_null() {
@@ -299,7 +286,7 @@ mod tests {
     fn options_decode_with_lossless_budget() {
         assert_eq!(options_from_json(None).unwrap(), RequestOptions::default());
         let doc = format!(
-            r#"{{"budget_nanos":{},"policy":"drop_tail","bypass_cache":true,"telemetry":"minimal","embedding_backend":"quantized_i8","delta_sensitivity":0.125}}"#,
+            r#"{{"budget_nanos":{},"policy":"drop_tail","bypass_cache":true,"telemetry":"minimal","delta_sensitivity":0.125}}"#,
             u64::MAX
         );
         let options = options_from_json(Some(&Json::parse(&doc).unwrap())).unwrap();
@@ -307,10 +294,6 @@ mod tests {
         assert_eq!(options.policy, DegradationPolicy::DropTailSteps);
         assert!(options.bypass_cache);
         assert_eq!(options.telemetry, TelemetryVerbosity::Minimal);
-        assert_eq!(
-            options.embedding_backend,
-            Some(EmbeddingBackendKind::QuantizedI8)
-        );
         assert_eq!(options.delta_sensitivity, Some(0.125));
 
         let bad = Json::parse(r#"{"policy":"fastest"}"#).unwrap();
@@ -328,23 +311,16 @@ mod tests {
         }
     }
 
-    /// An unknown backend name is a typed parse error surfaced as the
-    /// 400 body — it names the rejected value and every valid name,
-    /// and the server never panics on it.
+    /// Clients written when the server still selected embedding
+    /// backends may send `"embedding_backend"`; it is now ignored like
+    /// any other unknown key, and the request runs the one embedding
+    /// path every backend approximated.
     #[test]
-    fn unknown_embedding_backend_is_a_listing_error() {
-        for kind in EmbeddingBackendKind::ALL {
-            let doc = format!(r#"{{"embedding_backend":"{}"}}"#, kind.label());
-            let options = options_from_json(Some(&Json::parse(&doc).unwrap())).unwrap();
-            assert_eq!(options.embedding_backend, Some(kind));
-        }
-        let bad = Json::parse(r#"{"embedding_backend":"warp_drive"}"#).unwrap();
-        let err = options_from_json(Some(&bad)).unwrap_err();
-        assert!(err.contains("warp_drive"), "{err}");
-        for kind in EmbeddingBackendKind::ALL {
-            assert!(err.contains(kind.label()), "{err}");
-        }
-        let not_a_string = Json::parse(r#"{"embedding_backend":7}"#).unwrap();
-        assert!(options_from_json(Some(&not_a_string)).is_err());
+    fn legacy_embedding_backend_option_is_ignored() {
+        let doc = Json::parse(r#"{"embedding_backend":"quantized_i8"}"#).unwrap();
+        assert_eq!(
+            options_from_json(Some(&doc)).unwrap(),
+            RequestOptions::default()
+        );
     }
 }

@@ -16,8 +16,8 @@
 //!   incremental path. The same seed always produces the same
 //!   operations ([`Workload::digest`] proves it).
 //! * Drivers: [`run_in_process`] replays a workload against the sync
-//!   core through the same [`TrafficShaper`] admission/budget path the
-//!   HTTP server uses (closed-loop clients, a bounded queue, a worker
+//!   core by calling the same [`TrafficShaper`] `admit` and `serve` the
+//!   HTTP server calls (closed-loop clients, a bounded queue, a worker
 //!   pool); [`run_http`] replays it against a live annotation server
 //!   over the wire.
 //! * [`LoadReport`]: structured results — per-lane *and* per-tenant

@@ -723,21 +723,7 @@ fn bench_server_roundtrip(c: &mut Criterion) {
     let f = BenchFixture::new();
     let typer = f.customer();
     let table = &f.corpus.tables[0].table;
-    let columns: Vec<Json> = table
-        .columns()
-        .iter()
-        .map(|col| {
-            let values: Vec<Json> = col.values.iter().map(|v| Json::from(v.render())).collect();
-            Json::object(vec![
-                ("header", Json::from(col.name.as_str())),
-                ("values", Json::Arr(values)),
-            ])
-        })
-        .collect();
-    let table_json = Json::object(vec![
-        ("name", Json::from(table.name.as_str())),
-        ("columns", Json::Arr(columns)),
-    ]);
+    let table_json = tu_server::wire::table_to_json(table);
     let body = format!(r#"{{"table":{table_json}}}"#);
 
     let server = AnnotationServer::start(

@@ -550,8 +550,8 @@ pub trait EpochSource: std::fmt::Debug + Send + Sync {
 }
 
 /// A borrowed cache plus the epoch to fingerprint with — what
-/// [`Cascade::run_cached`](crate::cascade::Cascade::run_cached) needs
-/// from the owning [`SigmaTyper`](crate::system::SigmaTyper).
+/// [`CascadeExecutor::run_budgeted`](crate::executor::CascadeExecutor::run_budgeted)
+/// needs from the owning [`SigmaTyper`](crate::system::SigmaTyper).
 #[derive(Debug, Clone, Copy)]
 pub struct CacheContext<'a> {
     /// The step cache to consult and fill.

@@ -8,16 +8,11 @@
 //! configured, and the steps can be any mix of built-ins and
 //! user-registered implementations.
 
-use crate::cache::CacheContext;
 use crate::config::SigmaTyperConfig;
-use crate::executor::CascadeExecutor;
-use crate::global::GlobalModel;
-use crate::local::LocalModel;
 use crate::prediction::{StepId, StepScores, StepTiming};
 use crate::step::{AnnotationStep, EmbeddingStep, HeaderStep, LookupStep};
 use std::collections::HashMap;
 use std::sync::Arc;
-use tu_table::Table;
 
 /// An ordered list of annotation steps plus per-step weight overrides.
 ///
@@ -85,7 +80,7 @@ impl Cascade {
     }
 
     /// The configured steps, in execution order — what the
-    /// [`CascadeExecutor`] walks.
+    /// [`CascadeExecutor`](crate::executor::CascadeExecutor) walks.
     #[must_use]
     pub fn steps(&self) -> &[Arc<dyn AnnotationStep>] {
         &self.steps
@@ -201,57 +196,6 @@ impl Cascade {
             .get(&id)
             .copied()
             .unwrap_or_else(|| config.step_weight(id))
-    }
-
-    /// Run every configured step over every column of `table`, honoring
-    /// each step's skip predicate (by default the cascade-threshold
-    /// early exit).
-    ///
-    /// Returns the per-column `(step, scores)` traces in execution
-    /// order plus per-step timings. Aggregation (vote, specificity
-    /// tie-break, τ) happens in [`SigmaTyper::annotate`].
-    ///
-    /// [`SigmaTyper::annotate`]: crate::system::SigmaTyper::annotate
-    #[must_use]
-    pub fn run(
-        &self,
-        table: &Table,
-        global: &GlobalModel,
-        local: &LocalModel,
-        config: &SigmaTyperConfig,
-    ) -> CascadeTrace {
-        self.run_cached(table, global, local, config, None)
-    }
-
-    /// [`Cascade::run`] with an optional step cache: before running a
-    /// [`cacheable`](AnnotationStep::cacheable) step on a column, the
-    /// cache is consulted under the column's fingerprint (see
-    /// [`crate::cache`]); a hit pushes the stored scores into the
-    /// trace exactly as a run would, a miss runs the step and inserts
-    /// the result. Per-step hit/miss/insert counts are reported in the
-    /// [`StepTiming`] records; cache hits do not count toward
-    /// [`StepTiming::columns`].
-    ///
-    /// Cached and uncached runs are bit-identical: a cached score was
-    /// produced by the same deterministic step under a context with
-    /// the same fingerprint, and the skip predicates and tentative
-    /// types downstream of it see identical inputs either way.
-    ///
-    /// Execution — the frontier loop, cache consults, and the
-    /// (config-governed) column-parallel path — lives in
-    /// [`CascadeExecutor`]; this method builds one from `config` and
-    /// delegates. Callers that manage their own worker budgets (the
-    /// batch service) construct the executor directly.
-    #[must_use]
-    pub fn run_cached(
-        &self,
-        table: &Table,
-        global: &GlobalModel,
-        local: &LocalModel,
-        config: &SigmaTyperConfig,
-        cache: Option<CacheContext<'_>>,
-    ) -> CascadeTrace {
-        CascadeExecutor::from_config(config).run(self, table, global, local, config, cache)
     }
 }
 

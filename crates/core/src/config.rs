@@ -38,16 +38,14 @@ pub struct SigmaTyperConfig {
     /// may run a step's pending columns in parallel (execution
     /// strategy only — proven output-invariant by the golden
     /// parallel-vs-sequential suite, and therefore **not** part of the
-    /// cache fingerprint). A request may override it per call via
-    /// [`RequestOptions::parallelism`](crate::request::RequestOptions::parallelism).
+    /// cache fingerprint). Execution strategy is set here only, never
+    /// per request.
     pub parallelism: ParallelismPolicy,
     /// Worker budget for intra-table column chunks: the maximum number
     /// of scoped threads one table's step frontier may fan out to.
     /// `0` means "auto" (the machine's available parallelism). The
     /// [`AnnotationService`](crate::service::AnnotationService)
-    /// overrides this per worker when splitting its shared budget, and
-    /// a request may override it per call via
-    /// [`RequestOptions::column_threads`](crate::request::RequestOptions::column_threads).
+    /// overrides this per worker when splitting its shared budget.
     ///
     /// Latency *budgets* are deliberately **not** configuration: they
     /// are per-request quantities
@@ -294,7 +292,7 @@ mod tests {
                 ..base
             },
             SigmaTyperConfig {
-                parallelism: ParallelismPolicy::FixedChunk { columns: 2 },
+                parallelism: ParallelismPolicy::PerTableThreshold { min_columns: 2 },
                 ..base
             },
             SigmaTyperConfig {

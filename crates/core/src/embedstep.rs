@@ -1,6 +1,7 @@
 //! Pipeline step 3: the table-embedding model (paper §4.3).
 //!
-//! The TaBERT substitute (see DESIGN.md): a column is encoded from its
+//! The TaBERT substitute (see the README's "Substitutions and
+//! experiments" section): a column is encoded from its
 //! own content (Sherlock-style features + value/header embeddings) plus
 //! *table context* (the mean embedding of the neighboring headers), and
 //! classified by an MLP head whose class 0 is the background `unknown`
@@ -61,12 +62,14 @@ impl TableEmbeddingModel {
     }
 
     /// Phrase vector of one raw header under this model's embedder —
-    /// the reusable unit of the neighbor-context encoding. Batch
-    /// callers ([`EmbeddingStep::run_batch`]) encode each header of a
-    /// table once and share the vectors across columns instead of
-    /// re-encoding every neighbor per column.
+    /// the reusable unit of the neighbor-context encoding.
+    /// [`EmbeddingStep`]'s [`prepare`] encodes each header of a table
+    /// once and [`run_prepared`] shares the vectors across columns
+    /// instead of re-encoding every neighbor per column.
     ///
-    /// [`EmbeddingStep::run_batch`]: crate::step::EmbeddingStep
+    /// [`EmbeddingStep`]: crate::step::EmbeddingStep
+    /// [`prepare`]: crate::step::AnnotationStep::prepare
+    /// [`run_prepared`]: crate::step::AnnotationStep::run_prepared
     #[must_use]
     pub fn header_vector(&self, header: &str) -> Vec<f32> {
         self.extractor

@@ -14,19 +14,25 @@
 //!    cache is consulted per surviving column; hits enter the trace
 //!    exactly like runs. What remains — not skipped, not cached — is
 //!    the step's *pending-column frontier*.
-//! 2. **Chunking.** The [`ParallelismPolicy`] decides how the frontier
-//!    is split into chunks, each executed with one
-//!    [`run_batch`](crate::step::AnnotationStep::run_batch) call.
-//!    Sequential execution is the single-chunk special case, so the
-//!    batch-amortized step implementations serve both paths.
-//! 3. **Workers.** When more than one chunk is planned and the worker
-//!    budget allows, chunks are distributed over
-//!    [`std::thread::scope`] threads. Steps are deterministic and
-//!    read-only and every chunk's results are written back by column
-//!    index, so scheduling can never change the output — the golden
-//!    suite (`tests/golden_cascade.rs`) proves column-parallel
-//!    execution bit-identical to sequential for fresh, ablated, and
-//!    adaptation-heavy customers, cached and uncached.
+//! 2. **Chunking.** The [`ParallelismPolicy`] decides how many chunks
+//!    the frontier is split into — never more than the worker budget,
+//!    so every worker runs exactly one chunk. The step's
+//!    [`prepare`](crate::step::AnnotationStep::prepare) runs once per
+//!    table; each chunk is then scored with one
+//!    [`run_prepared`](crate::step::AnnotationStep::run_prepared) call
+//!    (or by mapping [`run`](crate::step::AnnotationStep::run) when the
+//!    step has no table-level setup). Sequential execution is the
+//!    single-chunk special case.
+//! 3. **Workers.** When more than one chunk is planned, chunks are
+//!    distributed over [`std::thread::scope`] threads. Steps are
+//!    deterministic and read-only and every chunk's results are
+//!    written back by column index, so scheduling can never change
+//!    the output — the golden suite (`tests/golden_cascade.rs`) proves
+//!    column-parallel execution bit-identical to sequential for fresh,
+//!    ablated, and adaptation-heavy customers, cached and uncached.
+//!
+//! Each executed step is charged to the request's
+//! [`BudgetLedger`](crate::request::BudgetLedger) once, at its end.
 //!
 //! Per step, the executor reports [`StepTiming`] telemetry including
 //! the chunk count and the summed in-chunk nanoseconds
@@ -45,7 +51,7 @@ use crate::config::SigmaTyperConfig;
 use crate::global::GlobalModel;
 use crate::local::LocalModel;
 use crate::prediction::{StepId, StepScores, StepTiming};
-use crate::request::{BudgetContext, BudgetLedger, DegradationPolicy, SkipReason, SkippedStep};
+use crate::request::{BudgetContext, DegradationPolicy, SkipReason, SkippedStep};
 use crate::step::{AnnotationStep, ColumnState, StepContext};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -60,8 +66,7 @@ use tu_table::Table;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParallelismPolicy {
     /// Never parallelize within a table: every frontier runs as one
-    /// sequential [`run_batch`](crate::step::AnnotationStep::run_batch)
-    /// call.
+    /// sequential chunk.
     Off,
     /// Parallelize a step only when its frontier has at least
     /// `min_columns` pending columns (and the worker budget allows),
@@ -70,15 +75,6 @@ pub enum ParallelismPolicy {
     PerTableThreshold {
         /// Minimum frontier width before threads are worth spawning.
         min_columns: usize,
-    },
-    /// Always split the frontier into chunks of `columns` columns;
-    /// chunks run on up to the budgeted number of workers (with a
-    /// budget of 1 they run sequentially, which still exercises the
-    /// chunked batch path). Mostly a testing/tuning policy.
-    FixedChunk {
-        /// Columns per [`run_batch`](crate::step::AnnotationStep::run_batch)
-        /// call.
-        columns: usize,
     },
 }
 
@@ -184,28 +180,13 @@ impl CascadeExecutor {
         CascadeExecutor::new(config.parallelism, threads)
     }
 
-    /// The configured parallelism policy.
-    #[must_use]
-    pub fn policy(&self) -> ParallelismPolicy {
-        self.policy
-    }
-
-    /// The worker budget for intra-table column chunks.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Plan the execution of one frontier: `(chunk_size, workers)`.
-    /// `workers == 1` means run the chunks inline on the caller's
-    /// thread (no spawn); `chunk_size` is always at least 1.
-    fn plan(&self, frontier: usize) -> (usize, usize) {
-        self.plan_with(frontier, forced_column_parallelism())
-    }
-
-    /// [`plan`](Self::plan) with the forced-parallelism flag made
-    /// explicit, so the planning rules are unit-testable regardless of
-    /// the process environment.
+    /// `workers == 1` means run the frontier inline on the caller's
+    /// thread (no spawn); `chunk_size` is always at least 1, and the
+    /// frontier never splits into more chunks than `workers`, so each
+    /// worker runs exactly one chunk. `forced` is
+    /// [`forced_column_parallelism`], passed in so the planning rules
+    /// are unit-testable regardless of the process environment.
     fn plan_with(&self, frontier: usize, forced: bool) -> (usize, usize) {
         debug_assert!(frontier > 0, "empty frontiers are not planned");
         let budget = self.threads.max(1);
@@ -218,7 +199,6 @@ impl CascadeExecutor {
                     frontier
                 }
             }
-            ParallelismPolicy::FixedChunk { columns } => columns.clamp(1, frontier),
         };
         let mut worker_cap = budget;
         if forced && frontier >= 2 {
@@ -235,35 +215,14 @@ impl CascadeExecutor {
 
     /// Run every configured step of `cascade` over every column of
     /// `table`: the frontier loop described in the [module
-    /// docs](self). Returns the per-column `(step, scores)` traces in
-    /// execution order plus one [`StepTiming`] per configured step.
-    ///
-    /// Unbudgeted convenience over
-    /// [`run_budgeted`](CascadeExecutor::run_budgeted) — no ledger, no
-    /// degradation, every step runs.
-    #[must_use]
-    pub fn run(
-        &self,
-        cascade: &Cascade,
-        table: &Table,
-        global: &GlobalModel,
-        local: &LocalModel,
-        config: &SigmaTyperConfig,
-        cache: Option<CacheContext<'_>>,
-    ) -> CascadeTrace {
-        self.run_budgeted(cascade, table, global, local, config, cache, None, None)
-            .trace
-    }
-
-    /// [`run`](CascadeExecutor::run) under an optional
-    /// [`BudgetContext`]: after every executed step the ledger is
-    /// charged with the larger of the step's wall-clock and summed
-    /// in-chunk nanoseconds, and — when the policy allows degradation
-    /// — steps are dropped or truncated as described in
-    /// [`crate::request`]. With `budget == None` (or a
+    /// docs](self), under an optional [`BudgetContext`]. After every
+    /// executed step the ledger is charged once with the larger of the
+    /// step's wall-clock and summed in-chunk nanoseconds, and — when
+    /// the policy allows degradation — steps are dropped or truncated
+    /// as described in [`crate::request`]. With `budget == None` (or a
     /// [`Strict`](crate::request::DegradationPolicy::Strict) policy)
-    /// the walk is identical to the unbudgeted one, which is what
-    /// keeps plain `annotate` calls bit-identical to default requests.
+    /// every step runs, which is what keeps plain `annotate` calls
+    /// bit-identical to default requests.
     ///
     /// An optional [`DeltaContext`] engages the delta-aware recrawl
     /// path (see its docs): precomputed fingerprints replace the
@@ -271,7 +230,7 @@ impl CascadeExecutor {
     /// crawl's cached scores. With `delta == None` — or a sensitivity
     /// of 0 — the walk is bit-identical to a from-scratch run.
     #[must_use]
-    #[allow(clippy::too_many_arguments)] // run()'s signature + the budget and delta contexts
+    #[allow(clippy::too_many_arguments)] // the models and config + the cache, budget and delta contexts
     pub fn run_budgeted(
         &self,
         cascade: &Cascade,
@@ -463,34 +422,10 @@ impl CascadeExecutor {
                 }
             }
 
-            // Phase 2: run the uncached frontier in chunks, inline or
-            // column-parallel. Under BestEffort the ledger is charged
-            // *between chunks* too, so an over-budget frontier stops
-            // early instead of finishing (ROADMAP 5b) — the other
-            // policies never interrupt mid-step (DropTailSteps drops
-            // whole steps; Strict never degrades).
-            let interrupt = degrade
-                .filter(|b| b.policy == DegradationPolicy::BestEffort)
-                .map(|b| b.ledger);
-            let run = self.run_frontier(step.as_ref(), &frontier, &ctx_for, interrupt);
-
-            // A mid-step stop left part of the frontier unrun: account
-            // it as a truncation. When the predictive gate already
-            // recorded one for this step, tighten its `ran` count;
-            // otherwise this is a fresh truncation event.
-            if run.pairs.len() < frontier.len() {
-                let completed = run.pairs.len();
-                match skipped.last_mut() {
-                    Some(last) if last.step == step.id() => last.ran = completed,
-                    _ => skipped.push(SkippedStep {
-                        step: step.id(),
-                        name: step.name().to_owned(),
-                        reason: SkipReason::FrontierTruncated,
-                        pending: frontier.len(),
-                        ran: completed,
-                    }),
-                }
-            }
+            // Phase 2: run the uncached frontier, inline or
+            // column-parallel. The step runs to completion; its cost
+            // is charged once, below.
+            let run = self.run_frontier(step.as_ref(), &frontier, &ctx_for);
 
             // Phase 3: write back — cache inserts, then the trace.
             // Each column gains at most one entry per step, so the
@@ -542,12 +477,9 @@ impl CascadeExecutor {
             if let Some(b) = budget {
                 // Charge the larger of wall-clock and summed in-chunk
                 // time: column parallelism must not make a step look
-                // cheaper than the CPU it burned. In-chunk charges
-                // already on the ledger (BestEffort's mid-step
-                // re-checks) are netted out so the step's total charge
-                // is identical to the one-shot accounting.
+                // cheaper than the CPU it burned.
                 let total = saturating_u64(timing.nanos.max(timing.parallel_nanos));
-                b.ledger.charge(total.saturating_sub(run.charged_nanos));
+                b.ledger.charge(total);
                 charged_nanos = charged_nanos.saturating_add(total);
             }
             timings.push(timing);
@@ -560,97 +492,63 @@ impl CascadeExecutor {
         }
     }
 
-    /// Execute one step over its frontier, optionally re-checking an
-    /// interrupt ledger **between chunks**.
-    ///
-    /// With `interrupt == None` (Strict, DropTailSteps, unbudgeted)
-    /// every planned chunk runs — identical to the historical one-shot
-    /// behavior. With an interrupt ledger (BestEffort), each worker
-    /// charges its chunk's busy nanoseconds as it finishes and stops
-    /// before its *next* chunk once the ledger is exhausted — the
-    /// first chunk of every share always runs, so forward progress is
-    /// guaranteed even on a born-exhausted ledger. Results carry their
-    /// column index, so a mid-step stop simply leaves the unrun
-    /// columns without this step's vote (they abstain or fall back,
-    /// never fabricate).
+    /// Execute one step over its whole frontier: one chunk per
+    /// planned worker, the first inline on the calling thread and the
+    /// rest on scoped threads. Results carry their column index and
+    /// are rejoined in frontier order.
     fn run_frontier<'a>(
         &self,
         step: &dyn AnnotationStep,
         frontier: &[usize],
         ctx_for: &(dyn Fn(usize) -> StepContext<'a> + Sync),
-        interrupt: Option<&BudgetLedger>,
     ) -> FrontierRun {
         if frontier.is_empty() {
             return FrontierRun::default();
         }
-        let (chunk_size, workers) = self.plan(frontier.len());
-        let chunks: Vec<&[usize]> = frontier.chunks(chunk_size).collect();
+        let (chunk_size, workers) = self.plan_with(frontier.len(), forced_column_parallelism());
         // Table-level setup, computed once per (step, table) and
         // shared by reference across every chunk — including chunks on
-        // other worker threads. Steps that return None fall back to
-        // plain run_batch (which may amortize per call, but re-pays
-        // per chunk).
+        // other worker threads. Steps without one are scored column by
+        // column through `run`.
         let setup = step.prepare(&ctx_for(frontier[0]));
-        let run_chunk = |chunk: &[usize]| -> (Vec<StepScores>, u128) {
+        let run_chunk = |chunk: &[usize]| -> FrontierRun {
             let t0 = Instant::now();
-            let ctx = ctx_for(chunk[0]);
-            let scores = match &setup {
-                Some(setup) => step.run_prepared(&ctx, chunk, setup),
-                None => step.run_batch(&ctx, chunk),
+            let scores: Vec<StepScores> = match &setup {
+                Some(setup) => step.run_prepared(&ctx_for(chunk[0]), chunk, setup),
+                None => chunk.iter().map(|&ci| step.run(&ctx_for(ci))).collect(),
             };
-            let busy = t0.elapsed().as_nanos();
+            let busy_nanos = t0.elapsed().as_nanos();
             assert_eq!(
                 scores.len(),
                 chunk.len(),
-                "step '{}': run_batch must return one StepScores per column",
+                "step '{}': run_prepared must return one StepScores per column",
                 step.name()
             );
-            (scores, busy)
-        };
-        // One worker's share of the chunks, run sequentially with the
-        // mid-step re-check between its own chunks.
-        let run_share = |worker_chunks: &[&[usize]]| -> FrontierRun {
-            let mut share = FrontierRun::default();
-            for (k, chunk) in worker_chunks.iter().enumerate() {
-                if k > 0 && interrupt.is_some_and(BudgetLedger::exhausted) {
-                    break;
-                }
-                let (scores, nanos) = run_chunk(chunk);
-                share.busy_nanos += nanos;
-                share.chunks_run += 1;
-                if let Some(ledger) = interrupt {
-                    let charge = saturating_u64(nanos);
-                    ledger.charge(charge);
-                    share.charged_nanos = share.charged_nanos.saturating_add(charge);
-                }
-                share.pairs.extend(chunk.iter().copied().zip(scores));
+            FrontierRun {
+                pairs: chunk.iter().copied().zip(scores).collect(),
+                chunks_run: 1,
+                busy_nanos,
             }
-            share
         };
         if workers <= 1 {
-            // Inline: still one run_batch call per chunk, so a
-            // FixedChunk policy exercises the batch path even with a
-            // budget of one.
-            return run_share(&chunks);
+            return run_chunk(frontier);
         }
-        // Parallel: contiguous runs of chunks per worker, results
-        // rejoined in frontier order — worker scheduling can never
-        // change *computed* output, only the wall clock (and, under an
-        // interrupt ledger, where each share stops). The first
-        // worker's share runs inline on the calling thread (which
-        // would otherwise just block in the scope join), so a budget
-        // of W occupies exactly W threads instead of W busy + 1
-        // parked.
-        let per_worker = chunks.len().div_ceil(workers);
-        let shares: Vec<&[&[usize]]> = chunks.chunks(per_worker).collect();
+        // Parallel: one chunk per worker, results rejoined in frontier
+        // order — worker scheduling can never change the output, only
+        // the wall clock. The first chunk runs inline on the calling
+        // thread (which would otherwise just block in the scope join),
+        // so a budget of W occupies exactly W threads instead of
+        // W busy + 1 parked.
+        let chunks: Vec<&[usize]> = frontier.chunks(chunk_size).collect();
+        debug_assert!(chunks.len() <= workers, "one chunk per worker");
         let mut out = FrontierRun::default();
         std::thread::scope(|scope| {
-            let run_share = &run_share;
-            let handles: Vec<_> = shares[1..]
+            let run_chunk = &run_chunk;
+            let handles: Vec<_> = chunks[1..]
                 .iter()
-                .map(|worker_chunks| scope.spawn(move || run_share(worker_chunks)))
+                .map(|chunk| scope.spawn(move || run_chunk(chunk)))
                 .collect();
-            out.merge(run_share(shares[0]));
+            out.merge(run_chunk(chunks[0]));
             for handle in handles {
                 out.merge(handle.join().expect("column worker panicked"));
             }
@@ -660,25 +558,22 @@ impl CascadeExecutor {
 }
 
 /// What one [`CascadeExecutor::run_frontier`] call produced: per-column
-/// scores tagged with their column index (a mid-step stop leaves
-/// gaps), the chunks actually run, the summed in-chunk busy time, and
-/// how much of it was already charged to the interrupt ledger.
+/// scores tagged with their column index, the chunks run, and the
+/// summed in-chunk busy time.
 #[derive(Debug, Default)]
 struct FrontierRun {
     pairs: Vec<(usize, StepScores)>,
     chunks_run: usize,
     busy_nanos: u128,
-    charged_nanos: u64,
 }
 
 impl FrontierRun {
-    /// Fold another share's results in (shares are joined in frontier
+    /// Fold another chunk's results in (chunks are joined in frontier
     /// order, so `pairs` stays sorted by column position).
     fn merge(&mut self, other: FrontierRun) {
         self.pairs.extend(other.pairs);
         self.chunks_run += other.chunks_run;
         self.busy_nanos += other.busy_nanos;
-        self.charged_nanos = self.charged_nanos.saturating_add(other.charged_nanos);
     }
 }
 
@@ -689,8 +584,7 @@ impl FrontierRun {
 #[derive(Debug)]
 pub struct BudgetedTrace {
     /// Per-column `(step, scores)` traces plus one [`StepTiming`] per
-    /// configured step — the same shape [`CascadeExecutor::run`]
-    /// returns.
+    /// configured step.
     pub trace: CascadeTrace,
     /// Steps skipped or truncated to honor the budget, in cascade
     /// order (empty when nothing degraded).
@@ -756,17 +650,38 @@ mod tests {
         assert_eq!(solo.plan_with(64, false), (64, 1));
     }
 
+    /// The invariant that makes the single end-of-step ledger charge
+    /// exact: whatever the policy, frontier width, worker budget, or
+    /// forced-parallelism flag, the plan never gives a worker more than
+    /// one chunk, so no step can be interrupted between chunks.
     #[test]
-    fn fixed_chunk_policy_chunks_regardless_of_width() {
-        let e = exec(ParallelismPolicy::FixedChunk { columns: 3 }, 2);
-        assert_eq!(e.plan_with(7, false), (3, 2), "3 chunks on 2 workers");
-        assert_eq!(e.plan_with(2, false), (2, 1), "single chunk stays inline");
-        // Chunk size clamps into the frontier; zero is treated as one.
-        let tiny = exec(ParallelismPolicy::FixedChunk { columns: 0 }, 8);
-        assert_eq!(tiny.plan_with(3, false), (1, 3));
-        // Budget 1: chunked but inline.
-        let solo = exec(ParallelismPolicy::FixedChunk { columns: 2 }, 1);
-        assert_eq!(solo.plan_with(6, false), (2, 1));
+    fn every_plan_gives_each_worker_at_most_one_chunk() {
+        let policies = [
+            ParallelismPolicy::Off,
+            ParallelismPolicy::PerTableThreshold { min_columns: 1 },
+            ParallelismPolicy::PerTableThreshold { min_columns: 2 },
+            ParallelismPolicy::PerTableThreshold { min_columns: 12 },
+        ];
+        for policy in policies {
+            for threads in 1..=8 {
+                let e = exec(policy, threads);
+                for frontier in 1..=64 {
+                    for forced in [false, true] {
+                        let (chunk_size, workers) = e.plan_with(frontier, forced);
+                        let chunks = frontier.div_ceil(chunk_size);
+                        assert!(
+                            (1..=frontier).contains(&chunk_size) && workers >= 1,
+                            "{policy:?} threads={threads} frontier={frontier} forced={forced}"
+                        );
+                        assert!(
+                            chunks <= workers,
+                            "{policy:?} threads={threads} frontier={frontier} forced={forced}: \
+                             {chunks} chunks on {workers} workers"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -786,22 +701,25 @@ mod tests {
     #[test]
     fn executor_clamps_zero_threads() {
         let e = CascadeExecutor::new(ParallelismPolicy::Off, 0);
-        assert_eq!(e.threads(), 1);
-        assert_eq!(e.policy(), ParallelismPolicy::Off);
+        assert_eq!(e.threads, 1);
+        assert_eq!(e.policy, ParallelismPolicy::Off);
     }
 
     #[test]
     fn from_config_reads_policy_and_budget() {
         let config = SigmaTyperConfig {
-            parallelism: ParallelismPolicy::FixedChunk { columns: 5 },
+            parallelism: ParallelismPolicy::PerTableThreshold { min_columns: 5 },
             column_threads: 3,
             ..SigmaTyperConfig::default()
         };
         let e = CascadeExecutor::from_config(&config);
-        assert_eq!(e.policy(), ParallelismPolicy::FixedChunk { columns: 5 });
-        assert_eq!(e.threads(), 3);
+        assert_eq!(
+            e.policy,
+            ParallelismPolicy::PerTableThreshold { min_columns: 5 }
+        );
+        assert_eq!(e.threads, 3);
         // column_threads == 0 resolves to the machine's parallelism.
         let auto = CascadeExecutor::from_config(&SigmaTyperConfig::default());
-        assert!(auto.threads() >= 1);
+        assert!(auto.threads >= 1);
     }
 }

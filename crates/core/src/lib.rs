@@ -94,7 +94,6 @@ pub use regexbank::RegexBank;
 pub use request::{
     forced_step_budget_nanos, AnnotationOutcome, AnnotationRequest, BudgetContext, BudgetLedger,
     DegradationPolicy, DegradationReport, RequestOptions, SkipReason, SkippedStep,
-    TelemetryVerbosity,
 };
 pub use service::{AnnotationService, BoundedQueue, LaneLedger, QueueRejection, TrafficLane};
 pub use step::{

@@ -41,11 +41,6 @@ impl ValueLookup {
         &self.bank
     }
 
-    /// Mutable regex bank (user-expandable, §4.3).
-    pub fn bank_mut(&mut self) -> &mut RegexBank {
-        &mut self.bank
-    }
-
     /// Look up one column. `lf_banks` are the LF banks to consult (the
     /// global bank and the customer's local bank); `neighbor_types` are
     /// the current predictions for the other columns (context for
@@ -105,8 +100,9 @@ impl ValueLookup {
     /// The filter is order-preserving, so feeding the result to
     /// [`ValueLookup::lookup_with_lfs`] is bit-identical to
     /// [`ValueLookup::lookup_weighted`] over the raw banks — which is
-    /// what lets [`LookupStep::run_batch`](crate::step::LookupStep)
-    /// filter once per table instead of once per column.
+    /// what lets [`LookupStep`](crate::step::LookupStep)'s
+    /// [`prepare`](crate::step::AnnotationStep::prepare) filter once
+    /// per table instead of once per column.
     #[must_use]
     pub fn identity_lfs<'a>(lf_banks: &[&'a [LabelingFunction]]) -> Vec<&'a LabelingFunction> {
         Self::identity_lf_indices(lf_banks)

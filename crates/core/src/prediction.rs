@@ -192,22 +192,23 @@ pub struct StepTiming {
     pub cache_misses: usize,
     /// Results inserted into the step cache after running.
     pub cache_inserts: usize,
-    /// How many [`run_batch`] invocations (chunks) the executor issued
-    /// for this step's frontier: 0 when nothing ran, 1 on the
-    /// sequential path, more when the frontier was chunked for
-    /// column-parallel execution (see
-    /// [`CascadeExecutor`](crate::executor::CascadeExecutor)).
+    /// How many chunks the executor split this step's frontier into,
+    /// one per worker: 0 when nothing ran, 1 on the sequential path,
+    /// more when the frontier was chunked for column-parallel
+    /// execution (see
+    /// [`CascadeExecutor`](crate::executor::CascadeExecutor)). Each
+    /// chunk is one [`run_prepared`] call, or one `run` per column for
+    /// steps without a table-level setup.
     ///
-    /// [`run_batch`]: crate::step::AnnotationStep::run_batch
+    /// [`run_prepared`]: crate::step::AnnotationStep::run_prepared
     pub chunks: usize,
-    /// Nanoseconds spent *inside* the step's [`run_batch`] calls,
-    /// summed across chunks — a CPU-time proxy. On the column-parallel
+    /// Nanoseconds spent *inside* the step's chunks, summed across
+    /// chunks — a CPU-time proxy. On the column-parallel
     /// path this exceeds the step's share of the wall-clock [`nanos`],
     /// and the ratio `parallel_nanos / nanos` approximates the
     /// intra-table speedup; the cost-aware-ordering roadmap item keys
     /// off this field.
     ///
-    /// [`run_batch`]: crate::step::AnnotationStep::run_batch
     /// [`nanos`]: StepTiming::nanos
     pub parallel_nanos: u128,
     /// Columns answered by reusing the *base crawl's* cached scores on

@@ -7,16 +7,16 @@
 //! queue** when load spikes. The bare `annotate(&Table)` call cannot
 //! express any of that, so the entry points take an
 //! [`AnnotationRequest`] — a table plus [`RequestOptions`] carrying a
-//! per-request nanosecond budget, a [`DegradationPolicy`], and
-//! execution overrides — and return an [`AnnotationOutcome`]: the
+//! per-request nanosecond budget and a [`DegradationPolicy`] — and
+//! return an [`AnnotationOutcome`]: the
 //! annotation plus a [`DegradationReport`] recording exactly which
 //! steps were skipped or truncated, why, and the budget accounting.
 //!
 //! # Degradation semantics
 //!
 //! The [`CascadeExecutor`](crate::executor::CascadeExecutor) charges a
-//! [`BudgetLedger`] after every executed step with the larger of the
-//! step's wall-clock and summed in-chunk nanoseconds (a degraded
+//! [`BudgetLedger`] once at the end of every executed step with the
+//! larger of the step's wall-clock and summed in-chunk nanoseconds (a degraded
 //! system must not hide CPU burn behind column parallelism), and
 //! consults the customer's [`CostModel`]
 //! before each step to predict whether the pending frontier still
@@ -54,7 +54,6 @@
 //! tuning surface — production callers should set budgets per request.
 
 use crate::cost::CostModel;
-use crate::executor::ParallelismPolicy;
 use crate::prediction::{StepId, TableAnnotation};
 use crate::tenant::TenantId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,30 +78,11 @@ pub enum DegradationPolicy {
     BestEffort,
 }
 
-/// How much telemetry the returned [`TableAnnotation`] retains.
-/// Degradation reporting is unaffected — the
-/// [`DegradationReport`] is always complete.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TelemetryVerbosity {
-    /// Everything: per-column per-step scores and per-step timings.
-    /// The default, and the only level whose output is bit-identical
-    /// to `annotate(&Table)`.
-    #[default]
-    Full,
-    /// Drop the per-column [`step_scores`] (the bulkiest field);
-    /// keep decisions, `steps_run`, and the [`StepTiming`] records.
-    ///
-    /// [`step_scores`]: crate::prediction::ColumnAnnotation::step_scores
-    /// [`StepTiming`]: crate::prediction::StepTiming
-    TimingsOnly,
-    /// Drop per-column step scores *and* the timing records; keep only
-    /// the decisions (`predicted`, `confidence`, `top_k`, `steps_run`).
-    Minimal,
-}
-
-/// Per-request options: budget, degradation policy, and execution
-/// overrides. `Default` is `Strict`, unbounded, no overrides — the
-/// exact behavior of `annotate(&Table)`.
+/// Per-request options: budget, degradation policy, cache bypass, and
+/// delta sensitivity. `Default` is `Strict`, unbounded, no overrides —
+/// the exact behavior of `annotate(&Table)`. Execution strategy
+/// (column parallelism) is not a request option: it lives in
+/// [`SigmaTyperConfig`](crate::config::SigmaTyperConfig).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RequestOptions {
     /// Nanosecond budget for this request (`None` = unbounded; see
@@ -113,22 +93,10 @@ pub struct RequestOptions {
     /// What to do when the budget no longer covers the remaining
     /// cascade.
     pub policy: DegradationPolicy,
-    /// Override the customer's configured
-    /// [`ParallelismPolicy`] for
-    /// this request only (`None` = use
-    /// [`SigmaTyperConfig::parallelism`](crate::config::SigmaTyperConfig::parallelism)).
-    pub parallelism: Option<ParallelismPolicy>,
-    /// Override the intra-table column-worker budget for this request
-    /// only (`None` = use
-    /// [`SigmaTyperConfig::column_threads`](crate::config::SigmaTyperConfig::column_threads)).
-    /// Ignored by the batch scheduler, which owns the thread split.
-    pub column_threads: Option<usize>,
     /// Skip the step cache entirely for this request: no consults, no
     /// inserts. For forced recomputation (an operator suspecting a
     /// poisoned cache) — output is bit-identical either way.
     pub bypass_cache: bool,
-    /// How much telemetry the returned annotation retains.
-    pub telemetry: TelemetryVerbosity,
     /// Override the delta-reuse sensitivity threshold for this request
     /// only (`None` = use
     /// [`SigmaTyperConfig::delta_sensitivity`](crate::config::SigmaTyperConfig::delta_sensitivity)).
@@ -161,31 +129,10 @@ impl RequestOptions {
         self
     }
 
-    /// Builder-style: override the parallelism policy.
-    #[must_use]
-    pub fn with_parallelism(mut self, policy: ParallelismPolicy) -> Self {
-        self.parallelism = Some(policy);
-        self
-    }
-
-    /// Builder-style: override the column-worker budget.
-    #[must_use]
-    pub fn with_column_threads(mut self, threads: usize) -> Self {
-        self.column_threads = Some(threads);
-        self
-    }
-
     /// Builder-style: bypass the step cache for this request.
     #[must_use]
     pub fn with_cache_bypassed(mut self) -> Self {
         self.bypass_cache = true;
-        self
-    }
-
-    /// Builder-style: set the telemetry verbosity.
-    #[must_use]
-    pub fn with_telemetry(mut self, verbosity: TelemetryVerbosity) -> Self {
-        self.telemetry = verbosity;
         self
     }
 
@@ -196,14 +143,6 @@ impl RequestOptions {
     #[must_use]
     pub fn with_delta_sensitivity(mut self, sensitivity: f64) -> Self {
         self.delta_sensitivity = Some(sensitivity.max(0.0));
-        self
-    }
-
-    /// Builder-style: attribute this request to a tenant (see the
-    /// [`tenant`](RequestOptions::tenant) field).
-    #[must_use]
-    pub fn with_tenant(mut self, tenant: TenantId) -> Self {
-        self.tenant = Some(tenant);
         self
     }
 
@@ -286,7 +225,7 @@ pub fn forced_step_budget_nanos() -> Option<u64> {
 pub struct AnnotationRequest<'a> {
     /// The table to annotate.
     pub table: &'a Table,
-    /// Budget, policy, and execution overrides.
+    /// Budget, policy, and cache/delta options.
     pub options: RequestOptions,
     /// A previous crawl of the same table, enabling the delta-aware
     /// recrawl path (see [`with_base`](AnnotationRequest::with_base)).
@@ -357,31 +296,10 @@ impl<'a> AnnotationRequest<'a> {
         self
     }
 
-    /// Builder-style: override the parallelism policy.
-    #[must_use]
-    pub fn with_parallelism(mut self, policy: ParallelismPolicy) -> Self {
-        self.options = self.options.with_parallelism(policy);
-        self
-    }
-
-    /// Builder-style: override the column-worker budget.
-    #[must_use]
-    pub fn with_column_threads(mut self, threads: usize) -> Self {
-        self.options = self.options.with_column_threads(threads);
-        self
-    }
-
     /// Builder-style: bypass the step cache.
     #[must_use]
     pub fn with_cache_bypassed(mut self) -> Self {
         self.options = self.options.with_cache_bypassed();
-        self
-    }
-
-    /// Builder-style: set the telemetry verbosity.
-    #[must_use]
-    pub fn with_telemetry(mut self, verbosity: TelemetryVerbosity) -> Self {
-        self.options = self.options.with_telemetry(verbosity);
         self
     }
 }
@@ -641,10 +559,7 @@ mod tests {
         let opts = RequestOptions::default();
         assert_eq!(opts.policy, DegradationPolicy::Strict);
         assert_eq!(opts.budget_nanos, None);
-        assert_eq!(opts.parallelism, None);
-        assert_eq!(opts.column_threads, None);
         assert!(!opts.bypass_cache);
-        assert_eq!(opts.telemetry, TelemetryVerbosity::Full);
         assert_eq!(opts.delta_sensitivity, None);
         assert_eq!(opts.tenant, None);
     }
@@ -654,17 +569,11 @@ mod tests {
         let opts = RequestOptions::default()
             .with_budget_nanos(500)
             .with_policy(DegradationPolicy::BestEffort)
-            .with_parallelism(ParallelismPolicy::Off)
-            .with_column_threads(2)
             .with_cache_bypassed()
-            .with_telemetry(TelemetryVerbosity::Minimal)
             .with_delta_sensitivity(0.1);
         assert_eq!(opts.budget_nanos, Some(500));
         assert_eq!(opts.policy, DegradationPolicy::BestEffort);
-        assert_eq!(opts.parallelism, Some(ParallelismPolicy::Off));
-        assert_eq!(opts.column_threads, Some(2));
         assert!(opts.bypass_cache);
-        assert_eq!(opts.telemetry, TelemetryVerbosity::Minimal);
         assert_eq!(opts.delta_sensitivity, Some(0.1));
         // Negative sensitivities clamp to the bit-identical regime.
         let clamped = RequestOptions::default().with_delta_sensitivity(-3.0);

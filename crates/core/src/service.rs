@@ -428,17 +428,6 @@ impl AnnotationService {
         self.with_cache(Arc::new(ShardedLruCache::new(capacity)))
     }
 
-    /// Set the customer's intra-table [`ParallelismPolicy`] — when a
-    /// table worker may fan a step's pending columns out across its
-    /// budget share (see the [module docs](self) for the two-level
-    /// split). Execution strategy only: output is bit-identical under
-    /// any policy.
-    #[must_use]
-    pub fn with_parallelism(mut self, policy: ParallelismPolicy) -> Self {
-        self.typer.config_mut().parallelism = policy;
-        self
-    }
-
     /// The configured worker-thread count.
     #[must_use]
     pub fn threads(&self) -> usize {
@@ -493,10 +482,10 @@ impl AnnotationService {
     /// in input order.
     ///
     /// With default options (`Strict`, unbounded) every annotation is
-    /// bit-identical to [`AnnotationService::annotate_batch`]. The
-    /// request's `parallelism` override replaces the customer's
-    /// configured policy for this batch; `column_threads` is ignored
-    /// (the scheduler owns the thread split).
+    /// bit-identical to [`AnnotationService::annotate_batch`]. Column
+    /// parallelism follows the customer's configured
+    /// [`SigmaTyperConfig::parallelism`]; the scheduler owns the thread
+    /// split, so [`SigmaTyperConfig::column_threads`] is not consulted.
     ///
     /// [`DegradationPolicy`]: crate::request::DegradationPolicy
     /// [`DegradationReport`]: crate::request::DegradationReport
@@ -557,7 +546,7 @@ impl AnnotationService {
             bases.len(),
             "one base slot (Some or None) per table"
         );
-        let policy = self.typer.executor_for(options).policy();
+        let policy = self.typer.config().parallelism;
         two_level_run(tables.len(), self.threads, policy, &|i, executor| {
             self.typer
                 .annotate_request_shared_with_base(&tables[i], bases[i], executor, options, ledger)
@@ -610,10 +599,10 @@ fn two_level_run(
     // workers instead of being floored away, so the whole budget is
     // always accounted for (8 threads over 5 tables: three workers
     // get a 2-thread column budget, two get 1).
-    let executor_for =
+    let worker_executor =
         |worker: usize| CascadeExecutor::new(policy, column_budget(budget, outer, worker));
     if outer == 1 {
-        let executor = executor_for(0);
+        let executor = worker_executor(0);
         return (0..n).map(|i| annotate_one(i, &executor)).collect();
     }
     // Level 1: a dynamic queue instead of pre-cut shards, so one slow
@@ -627,7 +616,7 @@ fn two_level_run(
         // these shared handles by reference.
         let (next, slots) = (&next, &slots);
         for worker in 0..outer {
-            let executor = executor_for(worker);
+            let executor = worker_executor(worker);
             scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
@@ -675,6 +664,15 @@ mod tests {
                 Arc::new(train_global(ontology, &corpus, &TrainingConfig::fast()))
             })
             .clone()
+    }
+
+    /// The default configuration with its column-parallelism policy
+    /// replaced.
+    fn config_with(parallelism: ParallelismPolicy) -> SigmaTyperConfig {
+        SigmaTyperConfig {
+            parallelism,
+            ..SigmaTyperConfig::default()
+        }
     }
 
     fn batch(seed: u64, n: usize) -> Vec<Table> {
@@ -893,9 +891,11 @@ mod tests {
     /// threads idle.
     #[test]
     fn lone_wide_table_gets_the_whole_budget_as_column_chunks() {
-        let service = AnnotationService::new(global(), SigmaTyperConfig::default())
-            .with_threads(4)
-            .with_parallelism(ParallelismPolicy::PerTableThreshold { min_columns: 2 });
+        let service = AnnotationService::new(
+            global(),
+            config_with(ParallelismPolicy::PerTableThreshold { min_columns: 2 }),
+        )
+        .with_threads(4);
         // Opaque headers keep a wide frontier alive past the header step.
         let columns: Vec<tu_table::Column> = (0..8)
             .map(|i| {
@@ -918,9 +918,8 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         // And the chunked result is bit-identical to a sequential one.
-        let sequential = AnnotationService::new(global(), SigmaTyperConfig::default())
-            .with_threads(1)
-            .with_parallelism(ParallelismPolicy::Off);
+        let sequential =
+            AnnotationService::new(global(), config_with(ParallelismPolicy::Off)).with_threads(1);
         assert_identical(&sequential.annotate_batch(&[wide])[0], &anns[0]);
     }
 
@@ -943,9 +942,11 @@ mod tests {
         // Behavior: a 5-table batch on an 8-thread budget stays
         // bit-identical to the sequential pass whatever worker picked
         // up which table (chunked or not).
-        let service = AnnotationService::new(global(), SigmaTyperConfig::default())
-            .with_threads(8)
-            .with_parallelism(ParallelismPolicy::PerTableThreshold { min_columns: 2 });
+        let service = AnnotationService::new(
+            global(),
+            config_with(ParallelismPolicy::PerTableThreshold { min_columns: 2 }),
+        )
+        .with_threads(8);
         let mk_wide = |seed: usize| {
             let columns: Vec<tu_table::Column> = (0..6)
                 .map(|i| {
@@ -960,9 +961,8 @@ mod tests {
         let tables: Vec<Table> = (0..5).map(mk_wide).collect();
         let anns = service.annotate_batch(&tables);
         assert_eq!(anns.len(), 5);
-        let sequential = AnnotationService::new(global(), SigmaTyperConfig::default())
-            .with_threads(1)
-            .with_parallelism(ParallelismPolicy::Off);
+        let sequential =
+            AnnotationService::new(global(), config_with(ParallelismPolicy::Off)).with_threads(1);
         for (a, b) in anns.iter().zip(&sequential.annotate_batch(&tables)) {
             assert_identical(a, b);
         }
@@ -973,9 +973,11 @@ mod tests {
     /// tables interleaved, batch larger than the budget).
     #[test]
     fn two_level_scheduler_matches_sequential_on_mixed_batches() {
-        let service = AnnotationService::new(global(), SigmaTyperConfig::default())
-            .with_threads(3)
-            .with_parallelism(ParallelismPolicy::FixedChunk { columns: 2 });
+        let service = AnnotationService::new(
+            global(),
+            config_with(ParallelismPolicy::PerTableThreshold { min_columns: 2 }),
+        )
+        .with_threads(3);
         let mut tables = batch(0x31, 7);
         let wide_cols: Vec<tu_table::Column> = (0..9)
             .map(|i| tu_table::Column::from_raw(format!("zz_{i}"), &["alpha beta", "gamma delta"]))

@@ -27,7 +27,7 @@ use tu_table::{Column, Table};
 /// The [`CascadeExecutor`](crate::executor::CascadeExecutor) recomputes
 /// one `ColumnState` per column before each step and exposes the full
 /// slice through [`StepContext::column_states`], which is what lets
-/// [`AnnotationStep::run_batch`] derive exact per-column contexts via
+/// [`AnnotationStep::run_prepared`] derive exact per-column contexts via
 /// [`StepContext::for_column`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ColumnState {
@@ -138,7 +138,7 @@ impl<'a> StepContext<'a> {
     /// The same table-level context re-focused on a sibling column:
     /// everything shared stays shared, while `col_idx`, `best_so_far`,
     /// and `fingerprint` are taken from [`StepContext::column_states`].
-    /// This is how [`AnnotationStep::run_batch`] derives the exact
+    /// This is how [`AnnotationStep::run_prepared`] derives the exact
     /// per-column context the sequential path would have built.
     ///
     /// Hand-constructed contexts with an empty `column_states` slice
@@ -195,62 +195,44 @@ pub trait AnnotationStep: std::fmt::Debug + Send + Sync {
     /// nothing" from "skipped").
     fn run(&self, ctx: &StepContext<'_>) -> StepScores;
 
-    /// Score a batch of columns of one table in a single call.
-    ///
-    /// `ctx` is the context of `cols[0]`; implementations derive the
-    /// other columns' contexts with [`StepContext::for_column`]. The
-    /// returned vector must hold exactly one [`StepScores`] per entry
-    /// of `cols`, in order — the
-    /// [`CascadeExecutor`](crate::executor::CascadeExecutor) enforces
-    /// the length.
-    ///
-    /// The default loops [`AnnotationStep::run`]. Override it when
-    /// per-table setup is worth amortizing across columns (the
-    /// built-in [`EmbeddingStep`] encodes each header once per table
-    /// instead of once per neighbor pair; [`LookupStep`] filters the
-    /// labeling-function banks once per table) — but any override
-    /// **must** stay bit-identical to mapping `run` over the same
-    /// per-column contexts, and must produce the same bits regardless
-    /// of how the executor chunks the frontier across calls. The
-    /// golden-equivalence suite (`tests/golden_cascade.rs`) holds the
-    /// built-ins to that contract.
-    fn run_batch(&self, ctx: &StepContext<'_>, cols: &[usize]) -> Vec<StepScores> {
-        cols.iter()
-            .map(|&ci| self.run(&ctx.for_column(ci)))
-            .collect()
-    }
-
     /// Compute the table-level setup this step wants amortized across
-    /// *all* chunks of one frontier — not just within one
-    /// [`run_batch`](AnnotationStep::run_batch) call. The
+    /// every column of one frontier. The
     /// [`CascadeExecutor`](crate::executor::CascadeExecutor) calls
     /// this exactly once per `(step, table)` with a non-empty frontier
     /// and hands the result (by reference) to every chunk's
     /// [`run_prepared`](AnnotationStep::run_prepared), so
     /// column-parallel workers share one setup instead of each paying
-    /// it inside their own thread.
+    /// it inside their own thread (the built-in [`EmbeddingStep`]
+    /// encodes each header once per table instead of once per
+    /// neighbor pair; [`LookupStep`] filters the labeling-function
+    /// banks once per table).
     ///
-    /// The default returns `None` (no shared setup; chunks fall back
-    /// to [`run_batch`](AnnotationStep::run_batch)). Overriders must
-    /// keep the setup a pure function of the table-level context —
-    /// anything per-column belongs in `run_prepared`.
+    /// The default returns `None`: the executor then scores each
+    /// pending column with [`run`](AnnotationStep::run). Overriders
+    /// must keep the setup a pure function of the table-level context
+    /// — anything per-column belongs in `run_prepared`.
     fn prepare(&self, ctx: &StepContext<'_>) -> Option<TableSetup> {
         let _ = ctx;
         None
     }
 
-    /// Score a batch of columns using a setup produced by
-    /// [`prepare`](AnnotationStep::prepare) on the same table. Same
-    /// contract as [`run_batch`](AnnotationStep::run_batch): one
-    /// [`StepScores`] per entry of `cols`, in order, bit-identical to
-    /// mapping [`run`](AnnotationStep::run) — regardless of chunking
-    /// *and* regardless of whether the setup was shared or rebuilt.
+    /// Score a chunk of columns of one table using a setup produced by
+    /// [`prepare`](AnnotationStep::prepare) on the same table.
     ///
-    /// The default ignores the setup and delegates to
-    /// [`run_batch`](AnnotationStep::run_batch); implementations that
-    /// override [`prepare`](AnnotationStep::prepare) should downcast
-    /// `setup` and fall back to `run_batch` when the downcast fails (a
-    /// foreign executor may hand them someone else's setup).
+    /// `ctx` is the context of `cols[0]`; implementations derive the
+    /// other columns' contexts with [`StepContext::for_column`]. The
+    /// returned vector must hold exactly one [`StepScores`] per entry
+    /// of `cols`, in order — the executor enforces the length — and
+    /// must be bit-identical to mapping [`run`](AnnotationStep::run)
+    /// over the same per-column contexts, however the frontier is
+    /// chunked. The golden-equivalence suite
+    /// (`tests/golden_cascade.rs`) holds the built-ins to that
+    /// contract.
+    ///
+    /// The default ignores the setup and maps `run`; implementations
+    /// that override [`prepare`](AnnotationStep::prepare) should
+    /// downcast `setup` and rebuild their own when the downcast fails
+    /// (a foreign executor may hand them someone else's setup).
     fn run_prepared(
         &self,
         ctx: &StepContext<'_>,
@@ -258,7 +240,9 @@ pub trait AnnotationStep: std::fmt::Debug + Send + Sync {
         setup: &TableSetup,
     ) -> Vec<StepScores> {
         let _ = setup;
-        self.run_batch(ctx, cols)
+        cols.iter()
+            .map(|&ci| self.run(&ctx.for_column(ci)))
+            .collect()
     }
 
     /// Should the executor memoize this step's results in the
@@ -367,20 +351,13 @@ impl AnnotationStep for LookupStep {
         )
     }
 
-    /// Batch override: the identity-LF subset of the global + local
+    /// Table-level setup: the identity-LF subset of the global + local
     /// banks is the same for every column of the table, so it is
-    /// filtered once per batch instead of once per column — on an
+    /// filtered once per table instead of once per column — on an
     /// adapted customer the local bank grows with every feedback
-    /// event, and the per-column filter pass grows with it.
-    fn run_batch(&self, ctx: &StepContext<'_>, cols: &[usize]) -> Vec<StepScores> {
-        self.scores_with(ctx, cols, &LookupSetup::for_table(ctx))
-    }
-
-    /// Table-level setup shared across *chunks*: the identity-LF
-    /// filter pass over the global + local banks, stored as positions
-    /// (`'static`, so one pass serves every column-parallel worker —
-    /// the per-chunk `run_batch` override above only amortized it
-    /// within a chunk).
+    /// event, and the per-column filter pass grows with it. Stored as
+    /// positions (`'static`, so one pass serves every column-parallel
+    /// worker).
     fn prepare(&self, ctx: &StepContext<'_>) -> Option<TableSetup> {
         Some(Box::new(LookupSetup::for_table(ctx)))
     }
@@ -395,7 +372,7 @@ impl AnnotationStep for LookupStep {
             Some(setup) => self.scores_with(ctx, cols, setup),
             // Foreign setup (a custom executor mixed things up): stay
             // correct by rebuilding our own.
-            None => self.run_batch(ctx, cols),
+            None => self.scores_with(ctx, cols, &LookupSetup::for_table(ctx)),
         }
     }
 }
@@ -493,26 +470,15 @@ impl AnnotationStep for EmbeddingStep {
         }
     }
 
-    /// Batch override: each header's phrase vector is encoded once per
-    /// batch call instead of once per `(column, neighbor)` — the
-    /// neighbor-context encoding is quadratic in table width on the
-    /// per-column path. The per-column mean is accumulated over the
-    /// precomputed vectors in the same order `predict` would have
-    /// used, so the result is bit-identical (see
-    /// [`TableEmbeddingModel::context_of`]). Chunked executors share
-    /// one encoding across *all* chunks through
-    /// [`prepare`](AnnotationStep::prepare)/[`run_prepared`](AnnotationStep::run_prepared)
-    /// below, so even a `FixedChunk { columns: 1 }` policy pays the
-    /// setup once per table.
+    /// Table-level setup: each header's phrase vector is encoded once
+    /// per `(model, table)` instead of once per `(column, neighbor)` —
+    /// the neighbor-context encoding is quadratic in table width on
+    /// the per-column path — and shared by every column-parallel
+    /// chunk. The per-column mean is accumulated over the precomputed
+    /// vectors in the same order `run` would have used, so the result
+    /// is bit-identical (see [`TableEmbeddingModel::context_of`]).
     ///
     /// [`TableEmbeddingModel::context_of`]: crate::embedstep::TableEmbeddingModel::context_of
-    fn run_batch(&self, ctx: &StepContext<'_>, cols: &[usize]) -> Vec<StepScores> {
-        self.scores_with(ctx, cols, &EmbedSetup::for_table(ctx))
-    }
-
-    /// Table-level setup shared across chunks: every header encoded
-    /// once per `(model, table)` — previously each column-parallel
-    /// chunk re-encoded its own copy inside its worker thread.
     fn prepare(&self, ctx: &StepContext<'_>) -> Option<TableSetup> {
         Some(Box::new(EmbedSetup::for_table(ctx)))
     }
@@ -525,7 +491,7 @@ impl AnnotationStep for EmbeddingStep {
     ) -> Vec<StepScores> {
         match setup.downcast_ref::<EmbedSetup>() {
             Some(setup) => self.scores_with(ctx, cols, setup),
-            None => self.run_batch(ctx, cols),
+            None => self.scores_with(ctx, cols, &EmbedSetup::for_table(ctx)),
         }
     }
 
@@ -835,11 +801,11 @@ mod tests {
         assert!(EmbeddingStep.sensitivity_factor() > 1.0);
     }
 
-    /// The batch overrides must be bit-identical to mapping `run` over
-    /// the same per-column contexts — and invariant to how the batch
-    /// is chunked.
+    /// `prepare` + `run_prepared` must be bit-identical to mapping
+    /// `run` over the same per-column contexts — invariant to how the
+    /// frontier is chunked, and with a foreign setup too.
     #[test]
-    fn run_batch_overrides_match_sequential_run() {
+    fn run_prepared_overrides_match_sequential_run() {
         let g = global();
         let mut local = LocalModel::new();
         let config = SigmaTyperConfig::default();
@@ -873,12 +839,28 @@ mod tests {
             ctx.column_states = &states;
             let sequential: Vec<StepScores> =
                 (0..4).map(|ci| step.run(&ctx.for_column(ci))).collect();
-            let whole = step.run_batch(&ctx, &[0, 1, 2, 3]);
-            assert_eq!(whole, sequential, "{}: whole batch diverged", step.name());
+            let foreign: TableSetup = Box::new(());
+            let prepared = step.prepare(&ctx);
+            let setup = prepared.as_ref().unwrap_or(&foreign);
+            let whole = step.run_prepared(&ctx, &[0, 1, 2, 3], setup);
+            assert_eq!(
+                whole,
+                sequential,
+                "{}: whole frontier diverged",
+                step.name()
+            );
             // Chunked invocation must concatenate to the same bits.
-            let mut chunked = step.run_batch(&ctx, &[0, 1]);
-            chunked.extend(step.run_batch(&ctx.for_column(2), &[2, 3]));
+            let mut chunked = step.run_prepared(&ctx, &[0, 1], setup);
+            chunked.extend(step.run_prepared(&ctx.for_column(2), &[2, 3], setup));
             assert_eq!(chunked, sequential, "{}: chunking diverged", step.name());
+            // A setup the step did not produce is rebuilt, not trusted.
+            let rebuilt = step.run_prepared(&ctx, &[0, 1, 2, 3], &foreign);
+            assert_eq!(
+                rebuilt,
+                sequential,
+                "{}: foreign setup diverged",
+                step.name()
+            );
         }
     }
 

@@ -8,13 +8,13 @@ use crate::cache::{
 use crate::cascade::Cascade;
 use crate::config::SigmaTyperConfig;
 use crate::cost::CostModel;
-use crate::executor::{CascadeExecutor, DeltaContext, ParallelismPolicy};
+use crate::executor::{CascadeExecutor, DeltaContext};
 use crate::global::GlobalModel;
 use crate::local::LocalModel;
 use crate::prediction::{Candidate, ColumnAnnotation, StepId, StepScores, TableAnnotation};
 use crate::request::{
     AnnotationOutcome, AnnotationRequest, BudgetContext, BudgetLedger, DegradationReport,
-    RequestOptions, TelemetryVerbosity,
+    RequestOptions,
 };
 use crate::step::AnnotationStep;
 use std::sync::Arc;
@@ -221,25 +221,6 @@ impl SigmaTyperBuilder {
     #[must_use]
     pub fn step_weight(mut self, id: StepId, weight: f64) -> Self {
         self.cascade.set_weight(id, weight);
-        self
-    }
-
-    /// Set the intra-table parallelism policy (see
-    /// [`ParallelismPolicy`]): when the
-    /// [`CascadeExecutor`] may run a step's pending columns in
-    /// parallel. Execution strategy only — output is bit-identical
-    /// either way.
-    #[must_use]
-    pub fn parallelism(mut self, policy: ParallelismPolicy) -> Self {
-        self.config.parallelism = policy;
-        self
-    }
-
-    /// Set the worker budget for intra-table column chunks
-    /// ([`SigmaTyperConfig::column_threads`]; `0` = auto).
-    #[must_use]
-    pub fn column_threads(mut self, threads: usize) -> Self {
-        self.config.column_threads = threads;
         self
     }
 
@@ -507,39 +488,23 @@ impl SigmaTyper {
             .into_annotation()
     }
 
-    /// Annotate under a typed [`AnnotationRequest`]: budget, degradation
-    /// policy, and execution overrides per request (see
-    /// [`crate::request`] for the semantics). Returns the annotation
-    /// plus the [`DegradationReport`] recording which steps were
-    /// skipped or truncated and the budget accounting.
+    /// Annotate under a typed [`AnnotationRequest`]: budget and
+    /// degradation policy per request (see [`crate::request`] for the
+    /// semantics), on the executor
+    /// [`CascadeExecutor::from_config`] builds from this instance's
+    /// configuration. Returns the annotation plus the
+    /// [`DegradationReport`] recording which steps were skipped or
+    /// truncated and the budget accounting.
     #[must_use]
     pub fn annotate_request(&self, request: &AnnotationRequest<'_>) -> AnnotationOutcome {
         let (budget, _) = request.options.resolved();
         self.annotate_request_shared_with_base(
             request.table,
             request.base,
-            &self.executor_for(&request.options),
+            &CascadeExecutor::from_config(&self.config),
             &request.options,
             &BudgetLedger::from_budget(budget),
         )
-    }
-
-    /// The executor a request runs on: the configured
-    /// [`SigmaTyperConfig::parallelism`] and
-    /// [`SigmaTyperConfig::column_threads`], with the request's
-    /// `parallelism` and `column_threads` overrides applied. Every
-    /// single-table serving path resolves its executor here, so an
-    /// HTTP annotate is the same computation as the direct call.
-    #[must_use]
-    pub fn executor_for(&self, options: &RequestOptions) -> CascadeExecutor {
-        let mut config = self.config;
-        if let Some(policy) = options.parallelism {
-            config.parallelism = policy;
-        }
-        if let Some(threads) = options.column_threads {
-            config.column_threads = threads;
-        }
-        CascadeExecutor::from_config(&config)
     }
 
     /// The request core, against an **externally owned**
@@ -675,24 +640,10 @@ impl SigmaTyper {
                 }
             })
             .collect();
-        let mut annotation = TableAnnotation { columns, timings };
-        // Feed the cost model before telemetry is stripped — the EWMA
-        // is observation-only and never changes this annotation.
+        let annotation = TableAnnotation { columns, timings };
+        // The EWMA is observation-only and never changes this
+        // annotation.
         self.cost.observe(&annotation, config.cascade_threshold);
-        match options.telemetry {
-            TelemetryVerbosity::Full => {}
-            TelemetryVerbosity::TimingsOnly => {
-                for col in &mut annotation.columns {
-                    col.step_scores = Vec::new();
-                }
-            }
-            TelemetryVerbosity::Minimal => {
-                for col in &mut annotation.columns {
-                    col.step_scores = Vec::new();
-                }
-                annotation.timings = Vec::new();
-            }
-        }
         AnnotationOutcome {
             annotation,
             degradation: DegradationReport {
@@ -1570,71 +1521,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_verbosity_strips_payload_not_decisions() {
-        use crate::request::{AnnotationRequest, TelemetryVerbosity};
-        let st = system();
-        let table = figure3_table();
-        let full = st.annotate_request(&AnnotationRequest::new(&table));
-        let timings_only = st.annotate_request(
-            &AnnotationRequest::new(&table).with_telemetry(TelemetryVerbosity::TimingsOnly),
-        );
-        let minimal = st.annotate_request(
-            &AnnotationRequest::new(&table).with_telemetry(TelemetryVerbosity::Minimal),
-        );
-        assert!(full
-            .annotation
-            .columns
-            .iter()
-            .any(|c| !c.step_scores.is_empty()));
-        assert!(!full.annotation.timings.is_empty());
-        assert!(timings_only
-            .annotation
-            .columns
-            .iter()
-            .all(|c| c.step_scores.is_empty()));
-        assert_eq!(timings_only.annotation.timings.len(), st.cascade().len());
-        assert!(minimal.annotation.timings.is_empty());
-        // Decisions survive every level bit for bit.
-        for stripped in [&timings_only, &minimal] {
-            for (a, b) in stripped
-                .annotation
-                .columns
-                .iter()
-                .zip(&full.annotation.columns)
-            {
-                assert_eq!(a.predicted, b.predicted);
-                assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
-                assert_eq!(a.top_k, b.top_k);
-                assert_eq!(a.steps_run, b.steps_run);
-            }
-        }
-    }
-
-    #[test]
-    fn request_parallelism_override_chunks_without_touching_config() {
-        use crate::request::AnnotationRequest;
-        let st = system();
-        assert_eq!(
-            st.config().parallelism,
-            ParallelismPolicy::default(),
-            "sanity: config stays on the default policy"
-        );
-        let table = opaque_table(4);
-        let outcome = st.annotate_request(
-            &AnnotationRequest::new(&table)
-                .with_parallelism(ParallelismPolicy::FixedChunk { columns: 1 })
-                .with_column_threads(2),
-        );
-        assert!(
-            outcome.annotation.timings.iter().any(|t| t.chunks >= 2),
-            "FixedChunk{{1}} over a 4-column frontier must chunk"
-        );
-        // And the override is per-request: output stays bit-identical
-        // to the plain path (execution strategy is output-invariant).
-        assert_same_annotation(&st.annotate(&table), &outcome.annotation);
-    }
-
-    #[test]
     fn annotations_feed_the_shared_cost_model() {
         let st = system();
         assert!(st.cost_model().estimate(Step::Header).is_none());
@@ -1901,14 +1787,15 @@ mod tests {
     fn table_setup_is_prepared_once_across_chunks() {
         let prepares = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let chunk_calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let typer = SigmaTyper::builder(shared_global())
+        let mut typer = SigmaTyper::builder(shared_global())
             .step(PrepareCountingStep {
                 prepares: Arc::clone(&prepares),
                 chunk_calls: Arc::clone(&chunk_calls),
             })
-            .parallelism(ParallelismPolicy::FixedChunk { columns: 1 })
-            .column_threads(3)
             .build();
+        typer.config_mut().parallelism =
+            crate::executor::ParallelismPolicy::PerTableThreshold { min_columns: 1 };
+        typer.config_mut().column_threads = 4;
         let table = Table::new(
             "t",
             (0..4)
@@ -1920,7 +1807,7 @@ mod tests {
         let p = prepares.load(std::sync::atomic::Ordering::Relaxed);
         let c = chunk_calls.load(std::sync::atomic::Ordering::Relaxed);
         assert_eq!(p, 1, "setup must be hoisted to once per table");
-        assert_eq!(c, 4, "FixedChunk{{1}} over 4 columns is 4 chunk calls");
+        assert_eq!(c, 4, "4 columns over 4 column threads is 4 chunk calls");
         // A second table pays its own setup exactly once more.
         let _ = typer.annotate(&table);
         assert_eq!(prepares.load(std::sync::atomic::Ordering::Relaxed), 2);

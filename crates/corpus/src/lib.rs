@@ -1,6 +1,7 @@
 //! # tu-corpus
 //!
-//! The synthetic GitTables substitute (see DESIGN.md): a seeded generator
+//! The synthetic GitTables substitute (see the README's "Substitutions
+//! and experiments" section): a seeded generator
 //! of annotated relational tables with ground-truth semantic column
 //! types. Provides per-type value generators backed by the knowledge-base
 //! dictionaries, schema templates with realistic column co-occurrence,

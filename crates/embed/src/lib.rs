@@ -1,6 +1,7 @@
 //! # tu-embed
 //!
-//! The FastText substitute (see DESIGN.md): subword (character n-gram)
+//! The FastText substitute (see the README's "Substitutions and
+//! experiments" section): subword (character n-gram)
 //! hashing embeddings combined with a from-scratch skip-gram/negative-
 //! sampling trainer. Supplies the two properties the paper's semantic
 //! header-matching step needs — synonym geometry ("salary" ≈ "income")

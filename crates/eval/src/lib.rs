@@ -2,9 +2,9 @@
 //!
 //! The experiment harness: operationalizes every figure and quantitative
 //! claim of *Making Table Understanding Work in Practice* (CIDR'22) as a
-//! measurable experiment over the synthetic GitTables substitute. See
-//! DESIGN.md for the experiment index (E1–E8) and EXPERIMENTS.md for the
-//! recorded results.
+//! measurable experiment over the synthetic GitTables substitute. The
+//! README's "Substitutions and experiments" section indexes E1–E8; the
+//! `reproduce` binary prints their results.
 
 #![warn(missing_docs)]
 

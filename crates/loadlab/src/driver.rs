@@ -15,7 +15,7 @@ use crate::workload::{LabOp, Workload};
 use sigmatyper::request::{DegradationPolicy, RequestOptions};
 use sigmatyper::service::BoundedQueue;
 use sigmatyper::tenant::{TenantId, TenantRegistry, TrafficShaper};
-use sigmatyper::{GlobalModel, ShardedLruCache, SigmaTyper, StableHasher};
+use sigmatyper::{CascadeExecutor, GlobalModel, ShardedLruCache, SigmaTyper, StableHasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -85,7 +85,7 @@ struct LabJob {
 
 /// One worker's operation, served the way the server's `serve_single`
 /// serves a table: through [`TrafficShaper::serve`] on an executor from
-/// [`SigmaTyper::executor_for`].
+/// [`CascadeExecutor::from_config`].
 fn serve_op(
     typer: &SigmaTyper,
     shaper: &TrafficShaper,
@@ -106,7 +106,7 @@ fn serve_op(
     };
     let outcome = shaper
         .serve(op.lane, tenant, &options, |options, ledger| {
-            let executor = typer.executor_for(options);
+            let executor = CascadeExecutor::from_config(typer.config());
             vec![typer.annotate_request_shared_with_base(
                 &op.table,
                 op.base.as_ref(),

@@ -19,30 +19,11 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use tu_table::Table;
-
-/// Encode a table into the server's request wire format.
-fn table_json(table: &Table) -> Json {
-    let columns: Vec<Json> = table
-        .columns()
-        .iter()
-        .map(|col| {
-            let values: Vec<Json> = col.values.iter().map(|v| Json::from(v.render())).collect();
-            Json::object(vec![
-                ("header", Json::from(col.name.as_str())),
-                ("values", Json::Arr(values)),
-            ])
-        })
-        .collect();
-    Json::object(vec![
-        ("name", Json::from(table.name.as_str())),
-        ("columns", Json::Arr(columns)),
-    ])
-}
+use tu_server::wire::table_to_json;
 
 fn op_body(op: &LabOp) -> String {
     let mut fields = vec![
-        ("table", table_json(&op.table)),
+        ("table", table_to_json(&op.table)),
         (
             "options",
             // Mirrors the in-process driver: BestEffort degradation,
@@ -54,7 +35,7 @@ fn op_body(op: &LabOp) -> String {
         ),
     ];
     if let Some(base) = &op.base {
-        fields.insert(1, ("base", table_json(base)));
+        fields.insert(1, ("base", table_to_json(base)));
     }
     Json::object(fields).to_string()
 }

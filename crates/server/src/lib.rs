@@ -73,7 +73,7 @@ use sigmatyper::service::{AnnotationService, BoundedQueue, QueueRejection, Traff
 use sigmatyper::tenant::{
     TenantId, TenantRegistry, TenantSnapshot, TrafficShaper, ANONYMOUS_TENANT,
 };
-use sigmatyper::SigmaTyper;
+use sigmatyper::{CascadeExecutor, SigmaTyper};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -344,8 +344,8 @@ fn worker_loop(state: &ServerState) {
 /// drains one budget; a request with its own budget, or from an
 /// over-quota tenant, runs on a local ledger capped by the tighter of
 /// request budget, tenant cap, and lane remainder. The executor comes
-/// from [`SigmaTyper::executor_for`], so an HTTP annotate is the same
-/// computation as the direct call.
+/// from [`CascadeExecutor::from_config`] on the typer's configuration,
+/// so an HTTP annotate is the same computation as the direct call.
 fn serve_single(
     state: &ServerState,
     table: &tu_table::Table,
@@ -361,7 +361,7 @@ fn serve_single(
     let outcome = state
         .shaper
         .serve(lane, tenant, options, |options, ledger| {
-            let executor = typer.executor_for(options);
+            let executor = CascadeExecutor::from_config(typer.config());
             vec![typer.annotate_request_shared_with_base(table, base, &executor, options, ledger)]
         })
         .pop()

@@ -8,8 +8,7 @@
 //!   becomes the empty cell); typing them is the *server's* job.
 //! * **Options in** (all fields optional): `{"budget_nanos": u64,
 //!   "policy": "strict"|"drop_tail"|"best_effort", "bypass_cache":
-//!   bool, "telemetry": "full"|"timings_only"|"minimal",
-//!   "delta_sensitivity": f64 ≥ 0}`. Unknown keys are ignored.
+//!   bool, "delta_sensitivity": f64 ≥ 0}`. Unknown keys are ignored.
 //! * **Base table in**: `POST /annotate` additionally accepts a
 //!   `"base"` table (same shape as `"table"`) — the previously crawled
 //!   version, turning the request into an incremental recrawl with
@@ -27,7 +26,6 @@
 use jsonshim::Json;
 use sigmatyper::request::{
     AnnotationOutcome, DegradationPolicy, DegradationReport, RequestOptions, SkipReason,
-    TelemetryVerbosity,
 };
 use sigmatyper::ColumnAnnotation;
 use tu_ontology::Ontology;
@@ -72,6 +70,27 @@ pub fn table_from_json(v: &Json) -> Result<Table, String> {
     Table::new(name, columns).map_err(|e| format!("invalid table: {e:?}"))
 }
 
+/// Encode a table into the request wire format [`table_from_json`]
+/// decodes: every cell rendered to its string form (empty cells stay
+/// empty strings).
+pub fn table_to_json(table: &Table) -> Json {
+    let columns: Vec<Json> = table
+        .columns()
+        .iter()
+        .map(|col| {
+            let values: Vec<Json> = col.values.iter().map(|v| Json::from(v.render())).collect();
+            Json::object(vec![
+                ("header", Json::from(col.name.as_str())),
+                ("values", Json::Arr(values)),
+            ])
+        })
+        .collect();
+    Json::object(vec![
+        ("name", Json::from(table.name.as_str())),
+        ("columns", Json::Arr(columns)),
+    ])
+}
+
 /// Decode the optional `"options"` object of a request body.
 pub fn options_from_json(v: Option<&Json>) -> Result<RequestOptions, String> {
     let mut options = RequestOptions::default();
@@ -108,20 +127,6 @@ pub fn options_from_json(v: Option<&Json>) -> Result<RequestOptions, String> {
         {
             options = options.with_cache_bypassed();
         }
-    }
-    if let Some(telemetry) = v.get("telemetry") {
-        let label = telemetry.as_str().ok_or("\"telemetry\" must be a string")?;
-        options = options.with_telemetry(match label {
-            "full" => TelemetryVerbosity::Full,
-            "timings_only" => TelemetryVerbosity::TimingsOnly,
-            "minimal" => TelemetryVerbosity::Minimal,
-            other => {
-                return Err(format!(
-                    "unknown telemetry {other:?}: expected \"full\", \"timings_only\", \
-                     or \"minimal\""
-                ))
-            }
-        });
     }
     if let Some(sensitivity) = v.get("delta_sensitivity") {
         if !sensitivity.is_null() {
@@ -286,14 +291,13 @@ mod tests {
     fn options_decode_with_lossless_budget() {
         assert_eq!(options_from_json(None).unwrap(), RequestOptions::default());
         let doc = format!(
-            r#"{{"budget_nanos":{},"policy":"drop_tail","bypass_cache":true,"telemetry":"minimal","delta_sensitivity":0.125}}"#,
+            r#"{{"budget_nanos":{},"policy":"drop_tail","bypass_cache":true,"delta_sensitivity":0.125}}"#,
             u64::MAX
         );
         let options = options_from_json(Some(&Json::parse(&doc).unwrap())).unwrap();
         assert_eq!(options.budget_nanos, Some(u64::MAX));
         assert_eq!(options.policy, DegradationPolicy::DropTailSteps);
         assert!(options.bypass_cache);
-        assert_eq!(options.telemetry, TelemetryVerbosity::Minimal);
         assert_eq!(options.delta_sensitivity, Some(0.125));
 
         let bad = Json::parse(r#"{"policy":"fastest"}"#).unwrap();
@@ -311,16 +315,46 @@ mod tests {
         }
     }
 
-    /// Clients written when the server still selected embedding
-    /// backends may send `"embedding_backend"`; it is now ignored like
-    /// any other unknown key, and the request runs the one embedding
-    /// path every backend approximated.
+    /// Clients written for older servers may send options that no
+    /// longer exist: `"embedding_backend"` (the server once selected
+    /// embedding backends) and `"telemetry"` (it once stripped
+    /// per-column scores). Both are ignored like any other unknown
+    /// key, and the request runs the one path every variant shared.
     #[test]
-    fn legacy_embedding_backend_option_is_ignored() {
-        let doc = Json::parse(r#"{"embedding_backend":"quantized_i8"}"#).unwrap();
-        assert_eq!(
-            options_from_json(Some(&doc)).unwrap(),
-            RequestOptions::default()
-        );
+    fn legacy_embedding_backend_and_telemetry_options_are_ignored() {
+        for doc in [
+            r#"{"embedding_backend":"quantized_i8"}"#,
+            r#"{"telemetry":"minimal"}"#,
+        ] {
+            let doc = Json::parse(doc).unwrap();
+            assert_eq!(
+                options_from_json(Some(&doc)).unwrap(),
+                RequestOptions::default()
+            );
+        }
+    }
+
+    #[test]
+    fn table_to_json_round_trips_names_headers_and_cells() {
+        let table = Table::new(
+            "Straße \"q\" 表",
+            vec![
+                Column::from_raw("e-mail \"primary\"", &["a@x.com", "", "ü@ß.de"]),
+                Column::from_raw("城市", &["Zürich", "say \"hi\"", "\\ back"]),
+                Column::from_raw("", &["1", "2.5", ""]),
+            ],
+        )
+        .unwrap();
+        let wire = Json::parse(&table_to_json(&table).to_string()).unwrap();
+        let decoded = table_from_json(&wire).unwrap();
+        assert_eq!(decoded.name, table.name);
+        assert_eq!(decoded.headers(), table.headers());
+        let cells = |t: &Table| -> Vec<Vec<String>> {
+            t.columns()
+                .iter()
+                .map(|c| c.values.iter().map(|v| v.render()).collect())
+                .collect()
+        };
+        assert_eq!(cells(&decoded), cells(&table));
     }
 }

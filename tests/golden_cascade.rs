@@ -530,12 +530,11 @@ fn with_strategy(typer: &SigmaTyper, policy: ParallelismPolicy, threads: usize) 
 }
 
 /// The parallel strategies exercised against the sequential baseline:
-/// tiny fixed chunks (maximum scheduling interleaving) and an
-/// always-on threshold split.
+/// an always-on threshold split over 4, 2, and 3 column workers.
 fn parallel_strategies() -> [(ParallelismPolicy, usize); 3] {
     [
-        (ParallelismPolicy::FixedChunk { columns: 1 }, 4),
-        (ParallelismPolicy::FixedChunk { columns: 2 }, 2),
+        (ParallelismPolicy::PerTableThreshold { min_columns: 1 }, 4),
+        (ParallelismPolicy::PerTableThreshold { min_columns: 1 }, 2),
         (ParallelismPolicy::PerTableThreshold { min_columns: 1 }, 3),
     ]
 }

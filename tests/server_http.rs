@@ -16,6 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tu_corpus::{generate_corpus, CorpusConfig};
 use tu_ontology::builtin_ontology;
+use tu_server::wire::table_to_json;
 use tu_server::{AnnotationServer, ServerConfig};
 use tu_table::Table;
 
@@ -53,36 +54,16 @@ fn demo_typer(seed: u64) -> (SigmaTyper, Vec<Table>) {
     (SigmaTyper::builder(global).build(), tables)
 }
 
-/// Encode a [`Table`] into the server's request wire format.
-fn table_to_request_json(table: &Table) -> String {
-    let columns: Vec<Json> = table
-        .columns()
-        .iter()
-        .map(|col| {
-            let values: Vec<Json> = col.values.iter().map(|v| Json::from(v.render())).collect();
-            Json::object(vec![
-                ("header", Json::from(col.name.as_str())),
-                ("values", Json::Arr(values)),
-            ])
-        })
-        .collect();
-    Json::object(vec![
-        ("name", Json::from(table.name.as_str())),
-        ("columns", Json::Arr(columns)),
-    ])
-    .to_string()
-}
-
 /// The request body for `POST /annotate`.
 fn annotate_body(table: &Table) -> String {
-    format!(r#"{{"table":{}}}"#, table_to_request_json(table))
+    format!(r#"{{"table":{}}}"#, table_to_json(table))
 }
 
 /// A wire round trip re-types cells from rendered strings, so the
 /// direct baseline must annotate the same re-typed table the server
 /// sees — decode through the same codec the server uses.
 fn wire_table(table: &Table) -> Table {
-    let doc = Json::parse(&table_to_request_json(table)).expect("wire table json");
+    let doc = Json::parse(&table_to_json(table).to_string()).expect("wire table json");
     tu_server::wire::table_from_json(&doc).expect("wire table decode")
 }
 
@@ -177,7 +158,7 @@ fn concurrent_http_annotate_is_bit_identical_to_direct() {
         r#"{{"tables":[{}]}}"#,
         tables
             .iter()
-            .map(table_to_request_json)
+            .map(|t| table_to_json(t).to_string())
             .collect::<Vec<_>>()
             .join(",")
     );
@@ -472,7 +453,7 @@ fn feedback_bumps_epoch_and_invalidates_the_warm_cache() {
     // every warm entry keyed under the old epoch is dead.
     let feedback_body = format!(
         r#"{{"table":{},"col_idx":0,"type":"name"}}"#,
-        table_to_request_json(table)
+        table_to_json(table)
     );
     let fb = client
         .post_json("/feedback", &feedback_body, &[])
@@ -511,7 +492,7 @@ fn feedback_bumps_epoch_and_invalidates_the_warm_cache() {
             "/feedback",
             &format!(
                 r#"{{"table":{},"col_idx":0,"type":"no-such-type"}}"#,
-                table_to_request_json(table)
+                table_to_json(table)
             ),
             &[],
         )
@@ -551,7 +532,7 @@ fn graceful_shutdown_drains_in_flight_and_leaves_disk_state_warm() {
             "/feedback",
             &format!(
                 r#"{{"table":{},"col_idx":0,"type":"name"}}"#,
-                table_to_request_json(&tables[0])
+                table_to_json(&tables[0])
             ),
             &[],
         )
@@ -668,8 +649,8 @@ fn annotate_with_base_reuses_cache_and_is_exact_at_zero_sensitivity() {
     // crawl's entries.
     let recrawl_body = format!(
         r#"{{"table":{},"base":{},"options":{{"delta_sensitivity":0.5}}}}"#,
-        table_to_request_json(&new),
-        table_to_request_json(&base)
+        table_to_json(&new),
+        table_to_json(&base)
     );
     let warm = client
         .post_json("/annotate", &recrawl_body, &[])
@@ -704,8 +685,8 @@ fn annotate_with_base_reuses_cache_and_is_exact_at_zero_sensitivity() {
     // nothing can leak in from the base crawl).
     let strict_body = format!(
         r#"{{"table":{},"base":{},"options":{{"delta_sensitivity":0.0}}}}"#,
-        table_to_request_json(&new),
-        table_to_request_json(&base)
+        table_to_json(&new),
+        table_to_json(&base)
     );
     let strict = client
         .post_json("/annotate", &strict_body, &[])
@@ -728,7 +709,7 @@ fn annotate_with_base_reuses_cache_and_is_exact_at_zero_sensitivity() {
             "/annotate",
             &format!(
                 r#"{{"table":{},"base":{{"columns":"nope"}}}}"#,
-                table_to_request_json(&new)
+                table_to_json(&new)
             ),
             &[],
         )

@@ -32,6 +32,35 @@ fn best_of_3(mut f: impl FnMut()) -> Duration {
         .expect("three samples")
 }
 
+/// Rounds per side in [`interleaved_medians`].
+const GATE_ROUNDS: usize = 9;
+
+/// Median wall clock of `a` and of `b` over [`GATE_ROUNDS`] rounds that
+/// run both, alternating which goes first, so drift in machine load
+/// (frequency, neighbours) lands on both sides alike and one slow
+/// round cannot decide a comparison.
+fn interleaved_medians(mut a: impl FnMut(), mut b: impl FnMut()) -> (Duration, Duration) {
+    let time = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed()
+    };
+    let mut a_times = Vec::with_capacity(GATE_ROUNDS);
+    let mut b_times = Vec::with_capacity(GATE_ROUNDS);
+    for round in 0..GATE_ROUNDS {
+        if round % 2 == 0 {
+            a_times.push(time(&mut a));
+            b_times.push(time(&mut b));
+        } else {
+            b_times.push(time(&mut b));
+            a_times.push(time(&mut a));
+        }
+    }
+    a_times.sort_unstable();
+    b_times.sort_unstable();
+    (a_times[GATE_ROUNDS / 2], b_times[GATE_ROUNDS / 2])
+}
+
 fn bench_steps(c: &mut Criterion) {
     let f = BenchFixture::new();
     let typer = f.customer();
@@ -64,6 +93,34 @@ fn bench_steps(c: &mut Criterion) {
     c.bench_function("pipeline/step3_embedding_predict", |b| {
         b.iter(|| f.lab.global.embedding.predict(black_box(col), &neighbors))
     });
+}
+
+/// The header step over every fixture header, not one: a single
+/// header hides how much the skip bounds prune, which depends on the
+/// header. Each iteration matches the next header in turn, so the
+/// reported time is the mean cost per header.
+fn bench_header_match(c: &mut Criterion) {
+    let f = BenchFixture::new();
+    let cfg = *f.customer().config();
+    let headers: Vec<&str> = f
+        .corpus
+        .tables
+        .iter()
+        .flat_map(|at| at.table.headers())
+        .collect();
+    println!("pipeline/header_match  {} fixture headers", headers.len());
+    let global = &f.lab.global;
+    let mut next = headers.iter().cycle();
+    let mut group = c.benchmark_group("pipeline/header_match");
+    group.bench_function("per_header", |b| {
+        b.iter(|| {
+            let header = next.next().expect("cycle never ends");
+            global
+                .header
+                .match_header(black_box(header), &global.embedder, &cfg)
+        })
+    });
+    group.finish();
 }
 
 fn bench_annotate(c: &mut Criterion) {
@@ -217,16 +274,19 @@ fn bench_parallel_table(c: &mut Criterion) {
         // No regression at 1 thread: the policy-on path with a budget
         // of 1 plans exactly one chunk per step, so it must stay
         // within noise of the Off baseline (generous 1.5x slack for
-        // scheduler jitter).
+        // scheduler jitter, compared on interleaved medians).
         let solo = budget(1);
-        let seq_time = best_of_3(|| {
-            black_box(sequential.annotate(black_box(&wide)));
-        });
-        let solo_time = best_of_3(|| {
-            black_box(solo.annotate(black_box(&wide)));
-        });
+        let (seq_time, solo_time) = interleaved_medians(
+            || {
+                black_box(sequential.annotate(black_box(&wide)));
+            },
+            || {
+                black_box(solo.annotate(black_box(&wide)));
+            },
+        );
         println!(
-            "pipeline/parallel_table  1-thread budget {solo_time:?} vs sequential {seq_time:?}"
+            "pipeline/parallel_table  1-thread budget {solo_time:?} vs sequential {seq_time:?} \
+             (medians of {GATE_ROUNDS} interleaved rounds)"
         );
         assert!(
             solo_time.as_secs_f64() <= seq_time.as_secs_f64() * 1.5 + 1e-3,
@@ -234,9 +294,15 @@ fn bench_parallel_table(c: &mut Criterion) {
         );
         // Speedup assertion only where the hardware can express one.
         if cores() >= 4 {
-            let par_time = best_of_3(|| {
-                black_box(budget(4).annotate(black_box(&wide)));
-            });
+            let four = budget(4);
+            let (seq_time, par_time) = interleaved_medians(
+                || {
+                    black_box(sequential.annotate(black_box(&wide)));
+                },
+                || {
+                    black_box(four.annotate(black_box(&wide)));
+                },
+            );
             let speedup = seq_time.as_secs_f64() / par_time.as_secs_f64().max(1e-9);
             println!("pipeline/parallel_table  4-thread speedup: {speedup:.2}x");
             assert!(
@@ -904,6 +970,7 @@ fn crawl_counts(
 criterion_group!(
     benches,
     bench_steps,
+    bench_header_match,
     bench_annotate,
     bench_batch_service,
     bench_parallel_table,

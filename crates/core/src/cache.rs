@@ -68,9 +68,11 @@
 //! Steps advertise whether memoization pays through
 //! [`AnnotationStep::cacheable`](crate::step::AnnotationStep::cacheable)
 //! (default `true`). The executor never consults or fills the cache
-//! for a non-cacheable step — the built-in header step opts out until
-//! a measurement shows a header memo pays — so such steps simply
-//! re-run on every crawl, which is output-identical by determinism.
+//! for a non-cacheable step — the built-in header step opts out: at
+//! about 30 µs per header a whole-table-fingerprint memo costs an entry
+//! and a disk append per column, and no measurement yet shows it pays —
+//! so such steps simply re-run on every crawl, which is
+//! output-identical by determinism.
 //!
 //! [`StepContext`]: crate::step::StepContext
 //! [`SigmaTyperConfig`]: crate::config::SigmaTyperConfig

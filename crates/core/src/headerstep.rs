@@ -10,12 +10,25 @@ use crate::config::SigmaTyperConfig;
 use crate::prediction::{Candidate, StepScores};
 use tu_embed::Embedder;
 use tu_ontology::{Ontology, TypeId};
-use tu_text::{fuzzy_score, normalize_header};
+use tu_text::{
+    fuzzy_score_reaching, normalize_header, stem_phrase, PreparedText, SimilarityScratch,
+};
+
+/// One ontology surface form with everything the syntactic pass needs,
+/// computed once at construction.
+#[derive(Debug, Clone)]
+struct Surface {
+    text: String,
+    ty: TypeId,
+    stem: String,
+    tokens: Vec<String>,
+    prepared: PreparedText,
+}
 
 /// The header-matching step with precomputed ontology target vectors.
 #[derive(Debug, Clone)]
 pub struct HeaderMatcher {
-    surfaces: Vec<(String, TypeId)>,
+    surfaces: Vec<Surface>,
     surface_vectors: Vec<Vec<f32>>,
     /// Similarity floor below which syntactic candidates are dropped.
     pub syntactic_floor: f64,
@@ -27,14 +40,20 @@ impl HeaderMatcher {
     /// Build from an ontology and a (trained) embedder.
     #[must_use]
     pub fn new(ontology: &Ontology, embedder: &Embedder) -> Self {
-        let surfaces: Vec<(String, TypeId)> = ontology
+        let surfaces: Vec<Surface> = ontology
             .all_surfaces()
             .into_iter()
-            .map(|(s, t)| (s.to_owned(), t))
+            .map(|(s, ty)| Surface {
+                text: s.to_owned(),
+                ty,
+                stem: stem_phrase(s),
+                tokens: s.split(' ').map(str::to_owned).collect(),
+                prepared: PreparedText::new(s),
+            })
             .collect();
         let surface_vectors = surfaces
             .iter()
-            .map(|(s, _)| embedder.phrase_vector(s))
+            .map(|s| embedder.phrase_vector(&s.text))
             .collect();
         HeaderMatcher {
             surfaces,
@@ -56,44 +75,57 @@ impl HeaderMatcher {
         if normalized.is_empty() {
             return StepScores::default();
         }
-        let stemmed = tu_text::stem_phrase(&normalized);
-        let header_tokens: Vec<String> = normalized.split(' ').map(str::to_owned).collect();
+        let stemmed = stem_phrase(&normalized);
+        let header_tokens: Vec<&str> = normalized.split(' ').collect();
+        let prepared = PreparedText::new(&normalized);
+        let mut scratch = SimilarityScratch::default();
+        let floor = self.syntactic_floor;
         let mut cands: Vec<Candidate> = Vec::new();
 
         // Syntactic pass: exact → 1.0 (the paper's "confidence score is
         // set to the maximum being 100%"); singular/plural-exact → 0.97
         // (Figure 4's "Cities: city"); otherwise best of fuzzy score and
         // token containment ("col_salary" contains "salary").
-        for (surface, ty) in &self.surfaces {
-            if *surface == normalized {
+        for surface in &self.surfaces {
+            if surface.text == normalized {
                 cands.push(Candidate {
-                    ty: *ty,
+                    ty: surface.ty,
                     confidence: 1.0,
                 });
-            } else if *surface == stemmed || tu_text::stem_phrase(surface) == stemmed {
+            } else if surface.text == stemmed || surface.stem == stemmed {
                 cands.push(Candidate {
-                    ty: *ty,
+                    ty: surface.ty,
                     confidence: 0.97,
                 });
             } else {
-                let mut s = fuzzy_score(&normalized, surface);
                 // Containment: every surface token appears among the
                 // header tokens — strong evidence for decorated headers.
-                let surface_tokens: Vec<&str> = surface.split(' ').collect();
-                if surface_tokens
+                let contained = if surface
+                    .tokens
                     .iter()
-                    .all(|t| header_tokens.iter().any(|h| h == t))
+                    .all(|t| header_tokens.contains(&t.as_str()))
                 {
-                    let ratio = surface_tokens.len() as f64 / header_tokens.len() as f64;
-                    s = s.max(0.78 + 0.22 * ratio.min(1.0));
-                }
-                if s >= self.syntactic_floor {
+                    let ratio = surface.tokens.len() as f64 / header_tokens.len() as f64;
+                    0.78 + 0.22 * ratio.min(1.0)
+                } else {
+                    // No evidence: every fuzzy component is ≥ 0.
+                    0.0
+                };
+                // The fuzzy kernels run only where their bounds say the
+                // surface can still reach the floor.
+                if let Some(s) = fuzzy_score_reaching(
+                    &prepared,
+                    &surface.prepared,
+                    contained,
+                    floor,
+                    &mut scratch,
+                ) {
                     // Cap fuzzy (non-exact) confidence at 0.8: only exact
                     // and singular/plural-exact hits may short-circuit the
                     // cascade, so later steps (and the customer's local
                     // knowledge) can still overrule a lookalike alias.
                     cands.push(Candidate {
-                        ty: *ty,
+                        ty: surface.ty,
                         confidence: s * 0.8,
                     });
                 }
@@ -105,14 +137,14 @@ impl HeaderMatcher {
         let best_syntactic = cands.iter().map(|c| c.confidence).fold(0.0f64, f64::max);
         if best_syntactic < config.cascade_threshold {
             let hv = embedder.phrase_vector(&normalized);
-            for ((_, ty), sv) in self.surfaces.iter().zip(&self.surface_vectors) {
+            for (surface, sv) in self.surfaces.iter().zip(&self.surface_vectors) {
                 let cos = f64::from(tu_embed::cosine(&hv, sv));
                 if cos >= self.semantic_floor {
                     // Semantic similarity is softer evidence: like fuzzy
                     // hits it is capped at 0.8 so it can never
                     // short-circuit the cascade on its own.
                     cands.push(Candidate {
-                        ty: *ty,
+                        ty: surface.ty,
                         confidence: cos * 0.8,
                     });
                 }

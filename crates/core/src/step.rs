@@ -307,14 +307,18 @@ impl AnnotationStep for HeaderStep {
         scores
     }
 
-    /// Header matching is not cheap: it fuzzy-scores the header
-    /// against every ontology surface, measured at about 510 µs per
-    /// header and about 86% of annotate time (release build, 2-core
-    /// machine). It stays uncached only until a measurement shows
-    /// that a header memo pays, which depends on how cheap the
-    /// matcher can be made first (ROADMAP Direction 1). Re-running is
-    /// output-identical by determinism, so the choice affects only
-    /// cost.
+    /// Header matching scores the header against every ontology
+    /// surface through prepared surfaces and exact skip bounds: about
+    /// 30 µs per header, mean over the bench fixture's 95 headers
+    /// (`pipeline/header_match`, release build, 2-core machine). That
+    /// is about a fifth of a cold annotate of the fixture corpus but
+    /// still close to half of a warm recrawl (≈2.9 of ≈6.5 ms). It
+    /// stays uncached: the step cache keys on the whole-table
+    /// fingerprint, so a memo here would add an LRU entry and a
+    /// disk-tier append per column and still miss whenever any value
+    /// in the table changes, and no measurement yet shows that pays.
+    /// Re-running is output-identical by determinism, so the choice
+    /// affects only cost.
     fn cacheable(&self) -> bool {
         false
     }

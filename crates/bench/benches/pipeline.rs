@@ -123,6 +123,62 @@ fn bench_header_match(c: &mut Criterion) {
     group.finish();
 }
 
+/// The lookup step on a customer after 100 corrections. Each
+/// correction can add a local regex LF and a local dictionary LF, so
+/// lookup cost grows as a customer customizes; the unadapted
+/// `pipeline/step2_value_lookup` never sees that path. Each iteration
+/// looks up the next fixture column in turn, so the reported time is
+/// the mean cost per column.
+fn bench_value_lookup_adapted(c: &mut Criterion) {
+    const CORRECTIONS: usize = 100;
+    let f = BenchFixture::new();
+    let mut typer = f.customer();
+    let history = tu_corpus::generate_corpus(
+        &f.lab.global.ontology,
+        &tu_corpus::CorpusConfig::database_like(0xFEED, 24),
+    );
+    let labeled = history.tables.iter().flat_map(|at| {
+        at.labels
+            .iter()
+            .enumerate()
+            .filter(|(_, label)| !label.is_unknown())
+            .map(move |(ci, label)| (&at.table, ci, *label))
+    });
+    for (table, ci, label) in labeled.cycle().take(CORRECTIONS) {
+        typer.feedback(table, ci, label, None);
+    }
+    let global = &f.lab.global;
+    let local = typer.local();
+    let banks: [&[tu_dp::LabelingFunction]; 2] = [&global.global_lfs, &local.lfs];
+    let identity = sigmatyper::ValueLookup::identity_lfs(&banks);
+    let columns: Vec<(&Column, String)> = f
+        .corpus
+        .tables
+        .iter()
+        .flat_map(|at| at.table.columns())
+        .map(|col| (col, tu_text::normalize_header(&col.name)))
+        .collect();
+    println!(
+        "pipeline/step2_value_lookup/adapted  {CORRECTIONS} corrections, {} local LFs, {} fixture columns",
+        local.lfs.len(),
+        columns.len()
+    );
+    let cfg = *typer.config();
+    let mut next = columns.iter().cycle();
+    let mut group = c.benchmark_group("pipeline/step2_value_lookup");
+    group.bench_function("adapted", |b| {
+        b.iter(|| {
+            let (col, header) = next.next().expect("cycle never ends");
+            global
+                .lookup
+                .lookup_with_lfs(black_box(col), header, &[], &identity, &cfg, &|t| {
+                    local.wg(t, header)
+                })
+        })
+    });
+    group.finish();
+}
+
 fn bench_annotate(c: &mut Criterion) {
     let f = BenchFixture::new();
     let typer = f.customer();
@@ -971,6 +1027,7 @@ criterion_group!(
     benches,
     bench_steps,
     bench_header_match,
+    bench_value_lookup_adapted,
     bench_annotate,
     bench_batch_service,
     bench_parallel_table,

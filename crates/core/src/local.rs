@@ -26,7 +26,9 @@ pub struct LocalModel {
     /// Finetuned copy of the global embedding model (lazy).
     pub finetuned: Option<TableEmbeddingModel>,
     feedback_counts: HashMap<TypeId, u32>,
-    overridden_counts: HashMap<(TypeId, String), u32>,
+    /// Overrides per normalized header, then per type: keyed header
+    /// first so [`LocalModel::wg`] can probe with a borrowed `&str`.
+    overridden_counts: HashMap<String, HashMap<TypeId, u32>>,
     /// Accumulated local training examples `(column, neighbor headers,
     /// label)` — "the entire table with its labels is then added to the
     /// training data".
@@ -62,7 +64,8 @@ impl LocalModel {
     pub fn wg(&self, ty: TypeId, normalized_header: &str) -> f64 {
         let n = f64::from(
             self.overridden_counts
-                .get(&(ty, normalized_header.to_owned()))
+                .get(normalized_header)
+                .and_then(|by_type| by_type.get(&ty))
                 .copied()
                 .unwrap_or(0),
         );
@@ -74,7 +77,9 @@ impl LocalModel {
     pub fn record_override(&mut self, ty: TypeId, normalized_header: &str) {
         *self
             .overridden_counts
-            .entry((ty, normalized_header.to_owned()))
+            .entry(normalized_header.to_owned())
+            .or_default()
+            .entry(ty)
             .or_insert(0) += 1;
     }
 

@@ -9,7 +9,7 @@
 use crate::config::SigmaTyperConfig;
 use crate::prediction::{Candidate, StepScores};
 use crate::regexbank::RegexBank;
-use tu_dp::{context, LabelingFunction};
+use tu_dp::{context, LabelingFunction, LfSample};
 use tu_kb::KnowledgeBase;
 use tu_ontology::TypeId;
 use tu_table::Column;
@@ -152,15 +152,25 @@ impl ValueLookup {
         global_weight: &dyn Fn(TypeId) -> f64,
     ) -> StepScores {
         let mut cands: Vec<Candidate> = Vec::new();
-        let sample: Vec<String> = column
-            .sample(config.lookup_sample)
-            .into_iter()
-            .map(tu_table::Value::render)
-            .collect();
+        // One rendered sample per column for every value rule: the LFs
+        // share `lf_sample`, and so do the KB and the regex bank when
+        // the configured sample size is the LFs' own.
+        let lf_sample = LfSample::new(column);
+        let own_sample: Vec<String>;
+        let sample: &[String] = if config.lookup_sample == tu_dp::lf::SAMPLE {
+            lf_sample.rendered()
+        } else {
+            own_sample = column
+                .sample(config.lookup_sample)
+                .into_iter()
+                .map(tu_table::Value::render)
+                .collect();
+            &own_sample
+        };
 
         if !sample.is_empty() {
             // Source 2: knowledge-base dictionaries.
-            for (ty, fraction) in self.kb.coverage(&sample) {
+            for (ty, fraction) in self.kb.coverage(sample) {
                 if fraction > 0.3 {
                     cands.push(Candidate {
                         ty,
@@ -169,7 +179,7 @@ impl ValueLookup {
                 }
             }
             // Source 3: regex bank (shape rules).
-            cands.extend(self.bank.score_shapes(&sample, global_weight));
+            cands.extend(self.bank.score_shapes(sample, global_weight));
             // Source 3b: numeric ranges — ambiguous alone, so scaled down
             // to keep them from resolving the cascade unassisted.
             cands.extend(self.bank.score_ranges(
@@ -183,7 +193,7 @@ impl ValueLookup {
         // full weight; contextual LFs are scaled like range rules.
         let ctx = context(column, normalized_header, neighbor_types);
         for lf in identity_lfs {
-            if let Some(ty) = lf.vote(&ctx) {
+            if let Some(ty) = lf.vote_on(&ctx, &lf_sample) {
                 let mut confidence = 0.95;
                 if lf.source == tu_dp::LfSource::Global {
                     confidence *= global_weight(ty);

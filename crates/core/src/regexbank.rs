@@ -114,7 +114,8 @@ impl RegexBank {
 
     /// Score the shape rules against a rendered value sample: a rule
     /// votes when more than half the sample full-matches, with the
-    /// matching fraction (per-type weighted) as its confidence. Shared
+    /// matching fraction (per-type weighted) as its confidence; a rule
+    /// stops matching once half the sample is out of reach. Shared
     /// by the lookup step and the standalone regex-only step so the
     /// two can never drift apart.
     #[must_use]
@@ -128,12 +129,10 @@ impl RegexBank {
             return cands;
         }
         for rule in &self.shapes {
-            let hits = sample
-                .iter()
-                .filter(|v| rule.regex.is_full_match(v))
-                .count();
-            let fraction = hits as f64 / sample.len() as f64;
-            if fraction > 0.5 {
+            let reached =
+                tu_dp::hits_reaching(sample, |v| rule.regex.is_full_match(v), |f| f > 0.5);
+            if let Some(hits) = reached {
+                let fraction = hits as f64 / sample.len() as f64;
                 cands.push(Candidate {
                     ty: rule.ty,
                     confidence: fraction * weight(rule.ty),

@@ -17,7 +17,9 @@
 //!   consulted by both the server's admission path and the
 //!   [`AnnotationService`](crate::service::AnnotationService) batch
 //!   scheduler. An **in-quota** tenant (deficit remaining) draws on
-//!   the lane window like any request today, bounded by its deficit.
+//!   the lane window like any request today, bounded by its deficit
+//!   and by what the other tenants are still owed of the current
+//!   window's quanta.
 //!   An **over-quota** tenant is capped at its weight share of the
 //!   lane's *unreserved* remainder — the remainder minus the deficits
 //!   still owed to in-quota tenants — so heavy tenants degrade first
@@ -79,6 +81,12 @@ struct TenantLaneAccount {
     /// Cumulative nanoseconds of step work charged to this tenant on
     /// this lane, across all windows. Monotone, for metrics.
     spent_nanos: u64,
+    /// Nanoseconds charged since the lane window last rolled: what the
+    /// tenant already took of its quantum in the current window.
+    window_spent_nanos: u64,
+    /// Caps granted to this tenant's running requests and not yet
+    /// settled: budget already promised, though not yet charged.
+    held_nanos: u64,
     served: u64,
     shed: u64,
     degraded: u64,
@@ -313,6 +321,7 @@ impl TenantRegistry {
             let grant = scale_nanos(quantum, grants);
             let lane_acct = &mut account.lanes[li];
             lane_acct.deficit_nanos = lane_acct.deficit_nanos.saturating_add(grant).min(cap);
+            lane_acct.window_spent_nanos = 0;
         }
     }
 
@@ -325,6 +334,7 @@ impl TenantRegistry {
         };
         let lane_acct = &mut account.lanes[lane_index(lane)];
         lane_acct.spent_nanos = lane_acct.spent_nanos.saturating_add(nanos);
+        lane_acct.window_spent_nanos = lane_acct.window_spent_nanos.saturating_add(nanos);
         lane_acct.deficit_nanos = lane_acct.deficit_nanos.saturating_sub(nanos);
     }
 
@@ -351,12 +361,22 @@ impl TenantRegistry {
     /// ledger exactly as an unshapen request would):
     ///
     /// * unbudgeted lane, fairness disabled, or foreign id → no cap;
-    /// * **in quota** (deficit left) → capped at the deficit, but only
-    ///   when the deficit is actually tighter than the lane remainder;
+    /// * **in quota** (deficit left) → capped at the deficit and at the
+    ///   lane remainder minus what every other tenant is still owed of
+    ///   this window (the unspent part of its quantum, at most its
+    ///   deficit), but only when that is actually tighter than the lane
+    ///   remainder. Burst credit lets the deficits add up to more than
+    ///   the window, so without this reservation one in-quota tenant
+    ///   could drain the window another in-quota tenant is still owed;
     /// * **over quota** → weight share of the lane remainder *minus*
     ///   the deficits still owed to in-quota tenants (their
     ///   reservation), which can be 0: the request runs fully
     ///   degraded and cheap instead of eating reserved budget.
+    ///
+    /// Caps held by running requests (see
+    /// [`TrafficShaper::request_budget`]) count as spent: they come off
+    /// the lane remainder and off their tenant's deficit, so concurrent
+    /// requests cannot each be granted the same room.
     #[must_use]
     pub fn effective_cap(
         &self,
@@ -367,36 +387,39 @@ impl TenantRegistry {
         if !self.fairness {
             return None;
         }
-        let remaining = lane_remaining?;
-        let inner = self.lock();
-        let li = lane_index(lane);
-        inner.lanes[li].window_budget?;
-        let account = inner.accounts.get(id.index())?;
-        let deficit = account.lanes[li].deficit_nanos;
-        if deficit > 0 {
-            if deficit >= remaining {
-                // The lane window is the tighter bound: behave exactly
-                // like an unshapen request.
-                return None;
-            }
-            return Some(deficit);
+        effective_cap_locked(&self.lock(), id, lane_index(lane), lane_remaining?)
+    }
+
+    /// [`effective_cap`](TenantRegistry::effective_cap) bounded by
+    /// `limit`, held against `id`'s account until
+    /// [`release`](TenantRegistry::release)d — computed and held under
+    /// one lock, so two concurrent grants see each other.
+    fn hold_cap(
+        &self,
+        id: TenantId,
+        lane: TrafficLane,
+        lane_remaining: Option<u64>,
+        limit: u64,
+    ) -> Option<u64> {
+        if !self.fairness {
+            return None;
         }
-        // Over quota: leave the in-quota tenants' outstanding deficits
-        // alone and take only a weight share of what is left over.
-        let reserved: u64 = inner
-            .accounts
-            .iter()
-            .enumerate()
-            .filter(|(i, a)| *i != id.index() && a.lanes[li].deficit_nanos > 0)
-            .map(|(_, a)| a.lanes[li].deficit_nanos)
-            .fold(0u64, u64::saturating_add);
-        let unreserved = remaining.saturating_sub(reserved);
-        let share = if inner.total_weight > 0.0 {
-            account.weight / inner.total_weight
-        } else {
-            0.0
-        };
-        Some(scale_nanos(unreserved, share))
+        let remaining = lane_remaining?;
+        let li = lane_index(lane);
+        let mut inner = self.lock();
+        let held = effective_cap_locked(&inner, id, li, remaining)?.min(limit);
+        let lane_acct = &mut inner.accounts[id.index()].lanes[li];
+        lane_acct.held_nanos = lane_acct.held_nanos.saturating_add(held);
+        Some(held)
+    }
+
+    /// Release a cap [`hold_cap`](TenantRegistry::hold_cap) held.
+    fn release(&self, id: TenantId, lane: TrafficLane, nanos: u64) {
+        let mut inner = self.lock();
+        if let Some(account) = inner.accounts.get_mut(id.index()) {
+            let lane_acct = &mut account.lanes[lane_index(lane)];
+            lane_acct.held_nanos = lane_acct.held_nanos.saturating_sub(nanos);
+        }
     }
 
     /// Count one served request for `id` on `lane`, plus how many of
@@ -538,6 +561,10 @@ pub enum ShapedBudget {
         cap_nanos: u64,
         /// The lane window ledger to charge the spend back to.
         lane: Arc<BudgetLedger>,
+        /// How much of `cap_nanos` is held against the tenant's
+        /// account until [`TrafficShaper::settle`]: all of it when
+        /// shaping capped the tenant, else 0.
+        held_nanos: u64,
     },
 }
 
@@ -653,7 +680,10 @@ impl TrafficShaper {
     /// composes three bounds — lane window remainder, tenant shaping
     /// cap, explicit request budget — and preserves the unshapen
     /// contract exactly when shaping imposes nothing: an unbudgeted
-    /// request on an uncapped tenant shares the lane window ledger.
+    /// request on an uncapped tenant shares the lane window ledger. A
+    /// tenant-capped grant holds its cap against the tenant until
+    /// [`settle`](TrafficShaper::settle) releases it, so every grant
+    /// must be settled.
     #[must_use]
     pub fn request_budget(
         &self,
@@ -662,22 +692,18 @@ impl TrafficShaper {
         request_budget: Option<u64>,
     ) -> ShapedBudget {
         let lane_ledger = self.synced_ledger(lane);
-        let tenant_cap = self
-            .registry
-            .effective_cap(tenant, lane, lane_ledger.remaining());
-        match (request_budget, tenant_cap) {
+        let lane_left = lane_ledger.remaining();
+        let bound = request_budget
+            .unwrap_or(u64::MAX)
+            .min(lane_left.unwrap_or(u64::MAX));
+        let held = self.registry.hold_cap(tenant, lane, lane_left, bound);
+        match (request_budget, held) {
             (None, None) => ShapedBudget::Shared(lane_ledger),
-            (request, cap) => {
-                let lane_left = lane_ledger.remaining().unwrap_or(u64::MAX);
-                let bound = request
-                    .unwrap_or(u64::MAX)
-                    .min(cap.unwrap_or(u64::MAX))
-                    .min(lane_left);
-                ShapedBudget::Local {
-                    cap_nanos: bound,
-                    lane: lane_ledger,
-                }
-            }
+            (_, held) => ShapedBudget::Local {
+                cap_nanos: held.unwrap_or(bound),
+                lane: lane_ledger,
+                held_nanos: held.unwrap_or(0),
+            },
         }
     }
 
@@ -724,7 +750,8 @@ impl TrafficShaper {
     /// Account one served request: charge `spent_nanos` back to the
     /// lane window (only for [`ShapedBudget::Local`] runs — shared
     /// runs charged the window ledger directly), charge the tenant's
-    /// deficit and spend, and bump the lane/tenant serving counters.
+    /// deficit and spend, release the cap the grant held, and bump the
+    /// lane/tenant serving counters.
     pub fn settle(
         &self,
         lane: TrafficLane,
@@ -734,14 +761,70 @@ impl TrafficShaper {
         degraded_outcomes: u64,
         delta_reused: u64,
     ) {
-        if let ShapedBudget::Local { lane: ledger, .. } = budget {
-            ledger.charge(spent_nanos);
-        }
         self.registry.charge(tenant, lane, spent_nanos);
+        if let ShapedBudget::Local {
+            lane: ledger,
+            held_nanos,
+            ..
+        } = budget
+        {
+            ledger.charge(spent_nanos);
+            self.registry.release(tenant, lane, *held_nanos);
+        }
         self.registry.record_served(tenant, lane, degraded_outcomes);
         self.counters(lane)
             .record_served(degraded_outcomes, delta_reused);
     }
+}
+
+/// [`TenantRegistry::effective_cap`] on a locked registry, for an
+/// enabled-fairness registry and a budgeted lane remainder.
+fn effective_cap_locked(
+    inner: &RegistryInner,
+    id: TenantId,
+    li: usize,
+    remaining: u64,
+) -> Option<u64> {
+    let budget = inner.lanes[li].window_budget?;
+    let account = inner.accounts.get(id.index())?;
+    let own = &account.lanes[li];
+    // What running requests hold comes off the lane remainder; what
+    // the other tenants are still owed is their whole deficits and, of
+    // this window, the unspent part of each one's quantum — both net
+    // of what their running requests already hold.
+    let (mut held, mut owed, mut owed_this_window) = (0u64, 0u64, 0u64);
+    for (i, other) in inner.accounts.iter().enumerate() {
+        let other_lane = &other.lanes[li];
+        held = held.saturating_add(other_lane.held_nanos);
+        if i != id.index() {
+            let quantum = quantum_nanos(budget, other.weight, inner.total_weight);
+            let unspent = quantum.saturating_sub(other_lane.window_spent_nanos);
+            let unheld = |nanos: u64| nanos.saturating_sub(other_lane.held_nanos);
+            owed = owed.saturating_add(unheld(other_lane.deficit_nanos));
+            owed_this_window =
+                owed_this_window.saturating_add(unheld(other_lane.deficit_nanos.min(unspent)));
+        }
+    }
+    let free = remaining.saturating_sub(held);
+    if own.deficit_nanos > 0 {
+        let deficit = own.deficit_nanos.saturating_sub(own.held_nanos);
+        let cap = deficit.min(free.saturating_sub(owed_this_window));
+        if cap >= remaining {
+            // The lane window is the tighter bound: behave exactly
+            // like an unshapen request.
+            return None;
+        }
+        return Some(cap);
+    }
+    // Over quota: leave the in-quota tenants' outstanding deficits
+    // alone and take only a weight share of what is left over.
+    let unreserved = free.saturating_sub(owed);
+    let share = if inner.total_weight > 0.0 {
+        account.weight / inner.total_weight
+    } else {
+        0.0
+    };
+    Some(scale_nanos(unreserved, share))
 }
 
 /// Dense index of a lane into per-lane arrays ([`TrafficLane::ALL`]
@@ -867,14 +950,15 @@ mod tests {
         let heavy = reg.register("heavy", 1.0);
         let light = reg.register("light", 1.0);
         reg.observe_window(TrafficLane::Interactive, 0, Some(1_000));
-        // In quota with deficit (1000 burst) ≥ remaining (1000): no cap
-        // — indistinguishable from unshapen.
+        // In quota with deficit (1000 burst) ≥ remaining (1000), but
+        // light is still owed its 500 quantum of this window: capped at
+        // the other 500.
         assert_eq!(
             reg.effective_cap(heavy, TrafficLane::Interactive, Some(1_000)),
-            None
+            Some(500)
         );
-        // Drain heavy partially: deficit 300 < remaining 800 → capped
-        // at the deficit.
+        // Drain heavy partially: deficit 300 = remaining 800 − light's
+        // 500 → capped at the deficit.
         reg.charge(heavy, TrafficLane::Interactive, 700);
         assert_eq!(
             reg.effective_cap(heavy, TrafficLane::Interactive, Some(800)),
@@ -896,6 +980,66 @@ mod tests {
             reg.effective_cap(heavy, TrafficLane::Interactive, Some(800)),
             Some(350)
         );
+    }
+
+    #[test]
+    fn in_quota_tenants_cannot_drain_what_others_are_owed() {
+        let reg = TenantRegistry::new();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|name| reg.register(name, 1.0));
+        let lane = TrafficLane::Interactive;
+        // Budget 1000, four equal tenants: quantum 250, burst deficit
+        // 500 each — 2000 owed against a 1000 window.
+        reg.observe_window(lane, 0, Some(1_000));
+        assert_eq!(reg.effective_cap(a, lane, Some(1_000)), Some(250));
+        reg.charge(a, lane, 250);
+        assert_eq!(reg.effective_cap(b, lane, Some(750)), Some(250));
+        reg.charge(b, lane, 250);
+        // a and b took their quanta; both still hold 250 of burst
+        // deficit, but c's and d's quanta are reserved.
+        assert!(!reg.over_quota(a, lane));
+        assert_eq!(reg.effective_cap(a, lane, Some(500)), Some(0));
+        assert_eq!(reg.effective_cap(b, lane, Some(500)), Some(0));
+        assert_eq!(reg.effective_cap(c, lane, Some(500)), Some(250));
+        reg.charge(c, lane, 100);
+        assert_eq!(reg.effective_cap(d, lane, Some(400)), Some(250));
+        // Whatever c leaves unspent of its quantum stays c's.
+        assert_eq!(reg.effective_cap(c, lane, Some(400)), Some(150));
+        // A rolled window owes everyone a fresh quantum again.
+        reg.observe_window(lane, 1, Some(1_000));
+        assert_eq!(reg.effective_cap(a, lane, Some(1_000)), Some(250));
+    }
+
+    #[test]
+    fn running_requests_hold_their_caps_until_settled() {
+        if crate::request::forced_step_budget_nanos().is_some() {
+            return;
+        }
+        let registry = Arc::new(TenantRegistry::new());
+        let shaper = TrafficShaper::new(
+            Arc::clone(&registry),
+            Some(1_000),
+            None,
+            Duration::from_secs(600),
+        );
+        let a = registry.register("a", 1.0);
+        let _b = registry.register("b", 1.0);
+        let lane = TrafficLane::Interactive;
+        let cap = |grant: &ShapedBudget| match grant {
+            ShapedBudget::Local { cap_nanos, .. } => *cap_nanos,
+            ShapedBudget::Shared(_) => panic!("a tenant cap binds"),
+        };
+        // b is owed its 500 quantum: a's first request may take the
+        // other 500, and a concurrent second one nothing more.
+        let first = shaper.request_budget(lane, a, None);
+        let second = shaper.request_budget(lane, a, None);
+        assert_eq!((cap(&first), cap(&second)), (500, 0));
+        // Settling releases the hold and charges the real spend.
+        shaper.settle(lane, a, &first, 200, 0, 0);
+        shaper.settle(lane, a, &second, 0, 1, 0);
+        let third = shaper.request_budget(lane, a, None);
+        assert_eq!(cap(&third), 300);
+        shaper.settle(lane, a, &third, 0, 0, 0);
+        assert_eq!(registry.effective_cap(a, lane, Some(800)), Some(300));
     }
 
     #[test]
@@ -1087,6 +1231,7 @@ mod tests {
         let grant = ShapedBudget::Local {
             cap_nanos: 4_000,
             lane: shaper.lane_ledger(TrafficLane::Interactive).ledger(),
+            held_nanos: 0,
         };
         shaper.settle(TrafficLane::Interactive, t, &grant, 2_500, 1, 3);
         assert_eq!(

@@ -2,7 +2,7 @@
 //! data (step ③/④ of paper Figure 3).
 
 use crate::labelmodel::{majority_vote, LabelModel, LabelModelConfig, WeakLabel};
-use crate::lf::{context, normalize, LabelingFunction, LfStrength};
+use crate::lf::{context, normalize, LabelingFunction, LfSample, LfStrength};
 use tu_corpus::Corpus;
 use tu_ontology::TypeId;
 
@@ -80,7 +80,8 @@ pub fn mine_weak_labels(
                 .collect();
             let header = normalize(&col.name);
             let ctx = context(col, &header, &neighbors);
-            let row: Vec<Option<TypeId>> = lfs.iter().map(|l| l.vote(&ctx)).collect();
+            let sample = LfSample::new(col);
+            let row: Vec<Option<TypeId>> = lfs.iter().map(|l| l.vote_on(&ctx, &sample)).collect();
             let n_votes = row.iter().filter(|v| v.is_some()).count();
             if n_votes == 0 {
                 continue;

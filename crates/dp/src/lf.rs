@@ -4,10 +4,11 @@
 //! range (LF2), co-occurring columns (LF3), header match (LF4), plus the
 //! dictionary and synthesized-regex forms the lookup step uses.
 
+use std::cell::OnceCell;
 use std::collections::HashSet;
 use tu_ontology::TypeId;
 use tu_regex::Regex;
-use tu_table::Column;
+use tu_table::{Column, Value};
 use tu_text::normalize_header;
 
 /// Where an LF came from (global pretrained bank vs. customer-local DPBD).
@@ -120,6 +121,14 @@ impl LabelingFunction {
     /// Vote: `Some(ty)` when the LF fires, `None` to abstain.
     #[must_use]
     pub fn vote(&self, ctx: &LfContext<'_>) -> Option<TypeId> {
+        self.vote_on(ctx, &LfSample::new(ctx.column))
+    }
+
+    /// [`LabelingFunction::vote`] on a shared value sample of
+    /// `ctx.column`, so every LF voting on one column renders its
+    /// values once (the lookup step and weak-label mining both do).
+    #[must_use]
+    pub fn vote_on(&self, ctx: &LfContext<'_>, sample: &LfSample<'_>) -> Option<TypeId> {
         let fires = match &self.kind {
             LfKind::ValueRange { min, max } => {
                 let nums = ctx.column.numeric_values();
@@ -144,32 +153,85 @@ impl LabelingFunction {
             }
             LfKind::HeaderEquals(h) => ctx.header == h,
             LfKind::Dictionary(set) => {
-                let sample = ctx.column.sample(SAMPLE);
-                if sample.is_empty() {
-                    false
-                } else {
-                    let hits = sample
-                        .iter()
-                        .filter(|v| set.contains(&v.render().to_lowercase()))
-                        .count();
-                    hits as f64 / sample.len() as f64 >= DICT_PASS
-                }
+                hits_reaching(sample.lowered(), |v| set.contains(v), |f| f >= DICT_PASS).is_some()
             }
-            LfKind::Pattern(re) => {
-                let sample = ctx.column.sample(SAMPLE);
-                if sample.is_empty() {
-                    false
-                } else {
-                    let hits = sample
-                        .iter()
-                        .filter(|v| re.is_full_match(&v.render()))
-                        .count();
-                    hits as f64 / sample.len() as f64 >= VALUE_PASS
-                }
-            }
+            LfKind::Pattern(re) => hits_reaching(
+                sample.rendered(),
+                |v| re.is_full_match(v),
+                |f| f >= VALUE_PASS,
+            )
+            .is_some(),
         };
         fires.then_some(self.ty)
     }
+}
+
+/// The [`SAMPLE`] values a column's per-value LFs vote on, rendered —
+/// and lowercased, for dictionaries — at most once, on first use,
+/// however many LFs vote.
+#[derive(Debug)]
+pub struct LfSample<'a> {
+    column: &'a Column,
+    rendered: OnceCell<Vec<String>>,
+    lowered: OnceCell<Vec<String>>,
+}
+
+impl<'a> LfSample<'a> {
+    /// The (not yet rendered) sample of `column`.
+    #[must_use]
+    pub fn new(column: &'a Column) -> Self {
+        LfSample {
+            column,
+            rendered: OnceCell::new(),
+            lowered: OnceCell::new(),
+        }
+    }
+
+    /// `column.sample(SAMPLE)`, rendered.
+    #[must_use]
+    pub fn rendered(&self) -> &[String] {
+        self.rendered.get_or_init(|| {
+            self.column
+                .sample(SAMPLE)
+                .into_iter()
+                .map(Value::render)
+                .collect()
+        })
+    }
+
+    /// [`LfSample::rendered`], lowercased.
+    #[must_use]
+    pub fn lowered(&self) -> &[String] {
+        self.lowered
+            .get_or_init(|| self.rendered().iter().map(|v| v.to_lowercase()).collect())
+    }
+}
+
+/// Count the items of `sample` that satisfy `hit`, or `None` when the
+/// fraction `hits / sample.len()` fails `passes` (an empty sample never
+/// passes). Counting stops as soon as even every item left hitting
+/// could not pass. `passes` must be a threshold test (monotone in the
+/// fraction); the early stop evaluates it with the same f64 expression
+/// on the best count still reachable, which the final count can only
+/// match or fall below, so the answer is exactly that of counting
+/// every item.
+pub fn hits_reaching<T>(
+    sample: &[T],
+    mut hit: impl FnMut(&T) -> bool,
+    passes: impl Fn(f64) -> bool,
+) -> Option<usize> {
+    let n = sample.len();
+    if n == 0 {
+        return None;
+    }
+    let mut hits = 0usize;
+    for (i, v) in sample.iter().enumerate() {
+        if !passes((hits + (n - i)) as f64 / n as f64) {
+            return None;
+        }
+        hits += usize::from(hit(v));
+    }
+    passes(hits as f64 / n as f64).then_some(hits)
 }
 
 /// Build an [`LfContext`] with a normalized header.

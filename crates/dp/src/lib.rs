@@ -17,4 +17,7 @@ pub mod lf;
 pub use generate::{mine_weak_labels, mined_precision, MinedColumn, MiningConfig, Resolution};
 pub use infer::{infer_lfs, Demonstration, InferConfig};
 pub use labelmodel::{majority_vote, LabelModel, LabelModelConfig, VoteRow, WeakLabel};
-pub use lf::{context, normalize, LabelingFunction, LfContext, LfKind, LfSource, LfStrength};
+pub use lf::{
+    context, hits_reaching, normalize, LabelingFunction, LfContext, LfKind, LfSample, LfSource,
+    LfStrength,
+};

@@ -1,5 +1,6 @@
 //! Global column statistics (Sherlock's "global statistics" group).
 
+use std::collections::HashMap;
 use tu_table::{Column, DataType, Value};
 
 /// Number of features produced by [`global_features`].
@@ -22,11 +23,22 @@ pub fn global_features(column: &Column) -> Vec<f32> {
         };
         type_counts[idx] += 1;
     }
+    // Render the non-null values once; one count map gives both the
+    // distinct fraction and the entropy.
     let rendered = column.rendered_values();
     let lens: Vec<f64> = rendered.iter().map(|s| s.chars().count() as f64).collect();
     let len_mean = tu_table::stats::mean(&lens);
     let len_std = tu_table::stats::std_dev(&lens);
-    let entropy = tu_table::stats::entropy_of(&rendered);
+    let mut counts: HashMap<&str, usize> = HashMap::with_capacity(rendered.len());
+    for v in &rendered {
+        *counts.entry(v).or_insert(0) += 1;
+    }
+    let distinct_fraction = if rendered.is_empty() {
+        0.0
+    } else {
+        counts.len() as f64 / rendered.len() as f64
+    };
+    let entropy = tu_table::stats::entropy_of_unordered(counts.into_values());
     let nums = column.numeric_values();
     let (num_mean, num_std, num_min, num_max) = if nums.is_empty() {
         (0.0, 0.0, 0.0, 0.0)
@@ -41,7 +53,7 @@ pub fn global_features(column: &Column) -> Vec<f32> {
     for c in type_counts {
         out.push((c as f64 / n) as f32);
     }
-    out.push(column.distinct_fraction() as f32);
+    out.push(distinct_fraction as f32);
     out.push((column.len() as f64).ln_1p() as f32);
     out.push(len_mean as f32 / 50.0);
     out.push(len_std as f32 / 50.0);
@@ -54,7 +66,7 @@ pub fn global_features(column: &Column) -> Vec<f32> {
     let texts = column.text_values();
     let token_counts: Vec<f64> = texts
         .iter()
-        .map(|t| tu_text::word_tokens(t).len() as f64)
+        .map(|t| tu_text::word_token_count(t) as f64)
         .collect();
     out.push(tu_table::stats::mean(&token_counts) as f32 / 5.0);
     out.push(tu_table::stats::std_dev(&token_counts) as f32 / 5.0);

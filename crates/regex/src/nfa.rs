@@ -27,6 +27,47 @@ pub struct Regex {
     states: Vec<State>,
     start: usize,
     pattern: String,
+    /// Fewest chars any accepting path consumes.
+    min_len: usize,
+    /// Most chars any accepting path consumes; `None` when unbounded.
+    max_len: Option<usize>,
+}
+
+/// The fewest and most chars a match of `ast` can consume (`None`: no
+/// upper bound), mirroring how [`Compiler`] expands each node. Anchors
+/// and the empty pattern consume nothing; an alternation takes the
+/// extremes over its branches. Saturating arithmetic keeps both bounds
+/// sound for absurd counted repeats.
+fn length_bounds(ast: &Ast) -> (usize, Option<usize>) {
+    match ast {
+        Ast::Empty | Ast::StartAnchor | Ast::EndAnchor => (0, Some(0)),
+        Ast::Char(_) => (1, Some(1)),
+        Ast::Concat(items) => {
+            items
+                .iter()
+                .map(length_bounds)
+                .fold((0, Some(0)), |(lo, hi), (l, h)| {
+                    (
+                        lo.saturating_add(l),
+                        hi.zip(h).map(|(a, b)| a.saturating_add(b)),
+                    )
+                })
+        }
+        Ast::Alt(branches) => branches
+            .iter()
+            .map(length_bounds)
+            .reduce(|(lo, hi), (l, h)| (lo.min(l), hi.zip(h).map(|(a, b)| a.max(b))))
+            .unwrap_or((0, Some(0))),
+        Ast::Repeat { node, min, max } => {
+            let (lo, hi) = length_bounds(node);
+            // The compiler emits `min` copies even when `max < min`.
+            let max = max.map(|m| m.max(*min) as usize);
+            (
+                lo.saturating_mul(*min as usize),
+                max.zip(hi).map(|(m, h)| h.saturating_mul(m)),
+            )
+        }
+    }
 }
 
 /// Sentinel for "not yet patched" transition targets.
@@ -236,10 +277,13 @@ impl Regex {
         let frag = c.compile(ast);
         let m = c.push(State::Match);
         c.patch(&frag.outs, m);
+        let (min_len, max_len) = length_bounds(ast);
         Regex {
             states: c.states,
             start: frag.start,
             pattern: pattern.to_owned(),
+            min_len,
+            max_len,
         }
     }
 
@@ -255,114 +299,113 @@ impl Regex {
         self.states.len()
     }
 
-    /// Add `state` plus its epsilon closure to `set`.
+    /// Fewest and most chars a full match consumes (`None`: no upper
+    /// bound). [`is_full_match`](Regex::is_full_match) rejects inputs
+    /// outside them without simulating.
+    #[must_use]
+    pub fn match_len_bounds(&self) -> (usize, Option<usize>) {
+        (self.min_len, self.max_len)
+    }
+
+    /// Add `state` plus its epsilon closure to `set`. `mark[s] == step`
+    /// records that `s` is already in the list built for `step`, so the
+    /// marks never need clearing between steps.
     fn add_state(
         &self,
         set: &mut Vec<usize>,
-        on: &mut [bool],
+        mark: &mut [usize],
+        step: usize,
         state: usize,
         at_start: bool,
         at_end: bool,
     ) {
-        if on[state] {
+        if mark[state] == step {
             return;
         }
-        on[state] = true;
+        mark[state] = step;
         match &self.states[state] {
             State::Split(a, b) => {
                 let (a, b) = (*a, *b);
-                self.add_state(set, on, a, at_start, at_end);
-                self.add_state(set, on, b, at_start, at_end);
+                self.add_state(set, mark, step, a, at_start, at_end);
+                self.add_state(set, mark, step, b, at_start, at_end);
             }
             State::AssertStart(next) => {
-                let next = *next;
                 if at_start {
-                    self.add_state(set, on, next, at_start, at_end);
+                    self.add_state(set, mark, step, *next, at_start, at_end);
                 }
             }
             State::AssertEnd(next) => {
-                let next = *next;
                 if at_end {
-                    self.add_state(set, on, next, at_start, at_end);
+                    self.add_state(set, mark, step, *next, at_start, at_end);
                 }
             }
             State::Char(..) | State::Match => set.push(state),
         }
     }
 
+    fn has_match(&self, set: &[usize]) -> bool {
+        set.iter().any(|&s| matches!(self.states[s], State::Match))
+    }
+
+    /// Pike-VM simulation over the `n` chars of `input`. A full match
+    /// (`search == false`) accepts only in the final state list; a
+    /// search restarts the pattern at every position and accepts as
+    /// soon as any list holds `Match`. The two state lists and the marks
+    /// are allocated once per call, not per char.
+    fn simulate(&self, input: &str, n: usize, search: bool) -> bool {
+        let mut current: Vec<usize> = Vec::with_capacity(self.states.len());
+        let mut next: Vec<usize> = Vec::with_capacity(self.states.len());
+        let mut mark = vec![0usize; self.states.len()];
+        self.add_state(&mut current, &mut mark, 1, self.start, true, n == 0);
+        if search && self.has_match(&current) {
+            return true;
+        }
+        for (i, c) in input.chars().enumerate() {
+            let (step, at_end) = (i + 2, i + 1 == n);
+            next.clear();
+            for &s in &current {
+                if let State::Char(m, to) = &self.states[s] {
+                    if m.matches(c) {
+                        self.add_state(&mut next, &mut mark, step, *to, false, at_end);
+                    }
+                }
+            }
+            if search {
+                // Unanchored: also restart the pattern at position i+1.
+                self.add_state(&mut next, &mut mark, step, self.start, false, at_end);
+            }
+            std::mem::swap(&mut current, &mut next);
+            if search {
+                if self.has_match(&current) {
+                    return true;
+                }
+            } else if current.is_empty() {
+                return false;
+            }
+        }
+        !search && self.has_match(&current)
+    }
+
     /// Does the pattern match the **entire** input string?
     ///
     /// This is the semantics used by the value-lookup step: a cell either
     /// *is* a phone number or it is not; substring hits would inflate
-    /// confidence.
+    /// confidence. An input whose char count lies outside the pattern's
+    /// match-length bounds is rejected without simulating: every
+    /// accepting path consumes a length within them.
     #[must_use]
     pub fn is_full_match(&self, input: &str) -> bool {
-        let chars: Vec<char> = input.chars().collect();
-        let n = chars.len();
-        let mut current: Vec<usize> = Vec::with_capacity(self.states.len());
-        let mut on = vec![false; self.states.len()];
-        self.add_state(&mut current, &mut on, self.start, true, n == 0);
-        for (i, &c) in chars.iter().enumerate() {
-            let at_end_next = i + 1 == n;
-            let mut next: Vec<usize> = Vec::with_capacity(self.states.len());
-            let mut on_next = vec![false; self.states.len()];
-            for &s in &current {
-                if let State::Char(m, to) = &self.states[s] {
-                    if m.matches(c) {
-                        self.add_state(&mut next, &mut on_next, *to, false, at_end_next);
-                    }
-                }
-            }
-            current = next;
-            on = on_next;
-            if current.is_empty() {
-                return false;
-            }
+        let n = input.chars().count();
+        if n < self.min_len || self.max_len.is_some_and(|max| n > max) {
+            return false;
         }
-        let _ = on;
-        current
-            .iter()
-            .any(|&s| matches!(self.states[s], State::Match))
+        self.simulate(input, n, false)
     }
 
     /// Does the pattern match anywhere in the input (unanchored search)?
     #[must_use]
     pub fn is_match(&self, input: &str) -> bool {
-        let chars: Vec<char> = input.chars().collect();
-        let n = chars.len();
-        let mut current: Vec<usize> = Vec::with_capacity(self.states.len());
-        let mut on = vec![false; self.states.len()];
-        self.add_state(&mut current, &mut on, self.start, true, n == 0);
-        if current
-            .iter()
-            .any(|&s| matches!(self.states[s], State::Match))
-        {
-            return true;
-        }
-        for (i, &c) in chars.iter().enumerate() {
-            let at_end_next = i + 1 == n;
-            let mut next: Vec<usize> = Vec::with_capacity(self.states.len());
-            let mut on_next = vec![false; self.states.len()];
-            for &s in &current {
-                if let State::Char(m, to) = &self.states[s] {
-                    if m.matches(c) {
-                        self.add_state(&mut next, &mut on_next, *to, false, at_end_next);
-                    }
-                }
-            }
-            // Unanchored: also restart the pattern at position i+1.
-            self.add_state(&mut next, &mut on_next, self.start, false, at_end_next);
-            current = next;
-            on = on_next;
-            if current
-                .iter()
-                .any(|&s| matches!(self.states[s], State::Match))
-            {
-                return true;
-            }
-        }
-        let _ = on;
-        false
+        self.simulate(input, input.chars().count(), true)
     }
 
     /// Fraction of `values` that fully match; `0.0` for an empty slice.
@@ -525,5 +568,21 @@ mod tests {
     fn pattern_accessor() {
         assert_eq!(re("a+").pattern(), "a+");
         assert!(re("a+").n_states() >= 2);
+    }
+
+    #[test]
+    fn length_bounds_follow_the_ast() {
+        let bounds = |p: &str| re(p).match_len_bounds();
+        assert_eq!(bounds(r"\d{3}-\d{4}"), (8, Some(8)));
+        assert_eq!(bounds("^ab$"), (2, Some(2)));
+        assert_eq!(bounds("a|bcd|"), (0, Some(3)));
+        assert_eq!(bounds("(ab){2,3}c?"), (4, Some(7)));
+        assert_eq!(bounds("x(ab)*"), (1, None));
+        assert_eq!(bounds("(a{2}){3,}"), (6, None));
+        assert_eq!(bounds(""), (0, Some(0)));
+        // Out-of-bounds inputs are rejected; the search is not bounded.
+        let r = re(r"\d{3}");
+        assert!(!r.is_full_match("1234"));
+        assert!(r.is_match("1234"));
     }
 }

@@ -1,17 +1,26 @@
-//! Differential testing: the Pike-VM engine must agree with the naive
-//! backtracking oracle on randomly generated ASTs and inputs.
+//! Differential testing: the Pike-VM engine, length bounds included,
+//! must agree with the naive backtracking oracle on randomly generated
+//! ASTs and ASCII and non-ASCII inputs.
 
 use proptest::prelude::*;
 use tu_regex::ast::{Ast, CharMatcher, ClassItem};
 use tu_regex::nfa::Regex;
 use tu_regex::oracle::backtrack_full_match;
 
-/// Strategy for a random AST over the alphabet {a, b, c}.
+/// Strategy for a random AST over the alphabet {a, b, c, é}, plus
+/// `.`, classes, shorthand classes and their negations, and anchors.
 fn ast_strategy() -> impl Strategy<Value = Ast> {
     let leaf = prop_oneof![
         Just(Ast::Empty),
-        prop_oneof![Just('a'), Just('b'), Just('c')]
+        prop_oneof![Just('a'), Just('b'), Just('c'), Just('é')]
             .prop_map(|c| Ast::Char(CharMatcher::Literal(c))),
+        prop_oneof![
+            Just(CharMatcher::digit()),
+            Just(CharMatcher::digit().negate()),
+            Just(CharMatcher::word()),
+            Just(CharMatcher::space().negate()),
+        ]
+        .prop_map(Ast::Char),
         Just(Ast::Char(CharMatcher::Any)),
         Just(Ast::Char(CharMatcher::Class {
             negated: false,
@@ -41,11 +50,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn nfa_agrees_with_oracle(ast in ast_strategy(), input in "[abcd]{0,8}") {
+    fn nfa_agrees_with_oracle(ast in ast_strategy(), input in "[abcd1 é漢]{0,8}") {
         let regex = Regex::from_ast(&ast, "<generated>");
         let nfa = regex.is_full_match(&input);
         let oracle = backtrack_full_match(&ast, &input);
         prop_assert_eq!(nfa, oracle, "ast={:?} input={:?}", ast, input);
+        // The length bounds never reject an input the oracle accepts.
+        let (min, max) = regex.match_len_bounds();
+        let n = input.chars().count();
+        prop_assert!(
+            !oracle || (min <= n && max.is_none_or(|max| n <= max)),
+            "bounds {:?} reject accepted input={:?} for ast={:?}", (min, max), input, ast
+        );
     }
 
     #[test]
@@ -65,7 +81,7 @@ proptest! {
     }
 
     #[test]
-    fn full_match_implies_search_match(ast in ast_strategy(), input in "[abcd]{0,8}") {
+    fn full_match_implies_search_match(ast in ast_strategy(), input in "[abcd1 é漢]{0,8}") {
         let regex = Regex::from_ast(&ast, "<generated>");
         if regex.is_full_match(&input) {
             prop_assert!(regex.is_match(&input));

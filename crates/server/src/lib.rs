@@ -30,8 +30,10 @@
 //!   the shared `anonymous` account). Per-tenant weighted deficits
 //!   decide who is over quota: an over-quota tenant's requests run
 //!   under a cap carved from the lane window's *unreserved* remainder
-//!   (in-quota tenants' outstanding deficits are protected), so heavy
-//!   tenants degrade first while light tenants keep their entitlement.
+//!   (in-quota tenants' outstanding deficits are protected), and an
+//!   in-quota tenant cannot take what the others are still owed of
+//!   the window's quanta, so heavy tenants degrade first while light
+//!   tenants keep their entitlement.
 //!   Shaping never changes annotation results — only scheduling,
 //!   shedding, and which requests degrade.
 //! * **Workers**: a fixed pool popping jobs and driving the sync core —
@@ -339,11 +341,11 @@ fn worker_loop(state: &ServerState) {
 }
 
 /// Serve one table through [`TrafficShaper::serve`]. An unbudgeted
-/// request from an in-quota tenant charges the lane's shared window
-/// ledger directly, so concurrent traffic on the lane collectively
-/// drains one budget; a request with its own budget, or from an
-/// over-quota tenant, runs on a local ledger capped by the tighter of
-/// request budget, tenant cap, and lane remainder. The executor comes
+/// request from an uncapped in-quota tenant charges the lane's shared
+/// window ledger directly, so concurrent traffic on the lane
+/// collectively drains one budget; a request with its own budget, or
+/// from a capped tenant, runs on a local ledger capped by the tighter
+/// of request budget, tenant cap, and lane remainder. The executor comes
 /// from [`CascadeExecutor::from_config`] on the typer's configuration,
 /// so an HTTP annotate is the same computation as the direct call.
 fn serve_single(

@@ -112,8 +112,17 @@ pub fn entropy_of<S: AsRef<str>>(items: &[S]) -> f64 {
     for it in items {
         *counts.entry(it.as_ref()).or_insert(0) += 1;
     }
-    let c: Vec<usize> = counts.into_values().collect();
-    entropy_from_counts(&c)
+    entropy_of_unordered(counts.into_values())
+}
+
+/// [`entropy_from_counts`] over counts in no particular order (a hash
+/// map's values): they are summed in ascending order, so equal
+/// multisets give bit-identical results whatever order they arrive in.
+#[must_use]
+pub fn entropy_of_unordered(counts: impl IntoIterator<Item = usize>) -> f64 {
+    let mut counts: Vec<usize> = counts.into_iter().collect();
+    counts.sort_unstable();
+    entropy_from_counts(&counts)
 }
 
 /// Mean of a sample; `0.0` when empty.
@@ -225,6 +234,28 @@ mod tests {
         assert!((entropy_from_counts(&[1, 1]) - 1.0).abs() < 1e-12);
         assert!((entropy_of(&["a", "b", "c", "d"]) - 2.0).abs() < 1e-12);
         assert_eq!(entropy_of::<&str>(&[]), 0.0);
+    }
+
+    #[test]
+    fn entropy_is_order_and_call_independent() {
+        // ≈1,400 values over 400 distinct strings with mixed counts:
+        // enough terms that hash-map iteration order used to show in
+        // the last bits of the sum.
+        let forward: Vec<String> = (0..400)
+            .flat_map(|i| std::iter::repeat_n(format!("v{i}"), i % 6 + 1))
+            .collect();
+        let mut reversed = forward.clone();
+        reversed.reverse();
+        let mut rotated = forward.clone();
+        rotated.rotate_left(577);
+        let expected = entropy_of(&forward).to_bits();
+        for _ in 0..50 {
+            for items in [&forward, &reversed, &rotated] {
+                assert_eq!(entropy_of(items).to_bits(), expected);
+            }
+        }
+        let counts = (0..400).map(|i| i % 6 + 1);
+        assert_eq!(entropy_of_unordered(counts).to_bits(), expected);
     }
 
     #[test]

@@ -18,4 +18,4 @@ pub use similarity::{
     PreparedText, SimilarityScratch,
 };
 pub use stem::{stem_phrase, stem_token};
-pub use tokenize::{char_ngrams, header_tokens, word_tokens};
+pub use tokenize::{char_ngrams, header_tokens, word_token_count, word_tokens};

@@ -47,22 +47,24 @@ pub fn header_tokens(header: &str) -> Vec<String> {
     tokens
 }
 
+/// The maximal alphanumeric runs of `text`, as slices of it.
+fn word_runs(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !c.is_alphanumeric())
+        .filter(|run| !run.is_empty())
+}
+
 /// Split free text into lowercase word tokens (alphanumeric runs).
 #[must_use]
 pub fn word_tokens(text: &str) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut current = String::new();
-    for c in text.chars() {
-        if c.is_alphanumeric() {
-            current.extend(c.to_lowercase());
-        } else if !current.is_empty() {
-            tokens.push(std::mem::take(&mut current));
-        }
-    }
-    if !current.is_empty() {
-        tokens.push(current);
-    }
-    tokens
+    word_runs(text)
+        .map(|run| run.chars().flat_map(char::to_lowercase).collect())
+        .collect()
+}
+
+/// `word_tokens(text).len()`, without building the tokens.
+#[must_use]
+pub fn word_token_count(text: &str) -> usize {
+    word_runs(text).count()
 }
 
 /// Character n-grams of a string, padded with `<` and `>` boundary markers
